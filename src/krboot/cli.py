@@ -84,13 +84,7 @@ def cmd_construct(args) -> int:
 def cmd_simulate(args) -> int:
     start = fileio.read_graph(args.start)
     host = Graph.complete(start.n) if args.host == "complete" else fileio.read_graph(args.host)
-    trace = engine.run(
-        start,
-        args.r,
-        host,
-        max_steps=args.max_steps,
-        incremental=not args.no_incremental,
-    )
+    trace = engine.run(start, args.r, host, max_steps=args.max_steps)
     if args.trace:
         fileio.write_trace(trace, args.trace)
     print(
@@ -192,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--host", default="complete", help="host graph file, or 'complete'")
     s.add_argument("--trace", help="write the step trace to this JSON file")
     s.add_argument("--max-steps", type=int, default=None)
-    s.add_argument("--no-incremental", action="store_true", help="full rescan each step")
     s.set_defaults(func=cmd_simulate)
 
     v = sub.add_parser("verify", help="run a structural checker")

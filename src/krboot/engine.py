@@ -3,17 +3,21 @@ creates a new K_r, one simultaneous batch per step, until nothing changes.
 
 An absent edge (u, v) is eligible exactly when the common neighbourhood of u
 and v in the current graph contains an (r-2)-clique: that clique plus u, v and
-the new edge is a fresh K_r.  ``run`` is the production engine; ``run_oracle``
-re-decides every step by counting complete K_r subgraphs from scratch and
-shares no step logic with it.
+the new edge is a fresh K_r.  ``eligible`` is the one kernel that applies this
+rule; ``step_kr``, ``run`` and the start-graph search all call it.  After each
+batch ``run`` alone decides between an incremental scan of the pairs near that
+batch and a full scan, by which is cheaper; both give the same batch.
+``run_oracle`` re-decides every step by counting complete K_r subgraphs from
+scratch and shares no step logic with the kernel.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .graphs import Graph, has_clique
+from .graphs import Graph, has_clique_rows, iter_bits
 
 
 @dataclass
@@ -68,51 +72,47 @@ def _check_inputs(current: Graph, r: int, host: Graph) -> None:
 def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
     """One synchronous step: all host edges whose insertion creates a new K_r."""
     _check_inputs(current, r, host)
-    return _step_full(current, r, host)
+    return eligible(current.adj, r, enumerate(host.adj))
 
 
-def _step_full(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
+def eligible(
+    adj: list[int], r: int, rows: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The step kernel: pairs (u, v) from ``rows`` whose edge would close a K_r.
+
+    ``rows`` yields ``(u, mask of candidate partners)`` in ascending u; partners
+    v <= u and pairs already in ``adj`` are dropped here, so a host's own rows,
+    ``enumerate(host.adj)``, are a full scan.  The batch comes out sorted.
+    """
     k = r - 2
-    n = current.n
-    adj = current.adj
     batch: list[tuple[int, int]] = []
-    for u in range(n):
-        cand = (host.adj[u] & ~adj[u]) >> (u + 1)
+    for u, cand in rows:
+        au = adj[u]
         base = u + 1
+        cand = (cand & ~au) >> base
         while cand:
             low = cand & -cand
             v = base + low.bit_length() - 1
             cand ^= low
-            common = adj[u] & adj[v]
-            if common and has_clique(current, common, k):
+            common = au & adj[v]
+            if common and has_clique_rows(adj, common, k):
                 batch.append((u, v))
-    return batch
-
-
-def _step_candidates(
-    current: Graph, r: int, pairs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    k = r - 2
-    adj = current.adj
-    batch = []
-    for u, v in pairs:
-        common = adj[u] & adj[v]
-        if common and has_clique(current, common, k):
-            batch.append((u, v))
     return batch
 
 
 def _next_candidates(
     current: Graph, host: Graph, batch: list[tuple[int, int]]
 ) -> list[tuple[int, int]] | None:
-    """Pairs that could become eligible after ``batch`` was just applied.
+    """Candidate rows for ``eligible`` after ``batch`` was just applied.
 
     Every edge newly eligible at the next step completes a K_r through at
     least one batch edge (u, v), so its endpoints lie in the common
-    neighbourhood of u and v, or one of them is u or v itself.  Returns None
-    when enumerating those pairs would cost more than a plain full scan.
+    neighbourhood of u and v, or one of them is u or v itself.  Returns the
+    host pairs near the batch as sorted ``(u, mask)`` rows, or None when
+    enumerating them would cost more than a plain full scan.
     """
     adj = current.adj
+    hadj = host.adj
     # quadratic in common-neighbourhood size; bail out to a full scan if that
     # exceeds the number of host edges still missing
     full_cost = host.edge_count() - current.edge_count()
@@ -122,29 +122,18 @@ def _next_candidates(
         est += c * (c - 1) // 2 + adj[u].bit_count() + adj[v].bit_count()
         if est > 2 * full_cost:
             return None
-    seen: set[tuple[int, int]] = set()
+    rows: dict[int, int] = {}
     for u, v in batch:
         common = adj[u] & adj[v]
-        members = []
-        m = common
-        while m:
-            low = m & -m
-            members.append(low.bit_length() - 1)
-            m ^= low
-        for i, a in enumerate(members):
-            arow = adj[a]
-            for b in members[i + 1 :]:
-                if not (arow >> b) & 1 and (host.adj[a] >> b) & 1:
-                    seen.add((a, b))
+        for a in iter_bits(common):
+            rows[a] = rows.get(a, 0) | (common & hadj[a])
         for x, y in ((u, v), (v, u)):
-            m = adj[y]
-            while m:
-                low = m & -m
-                w = low.bit_length() - 1
-                m ^= low
-                if w != x and not (adj[x] >> w) & 1 and (host.adj[x] >> w) & 1:
-                    seen.add((x, w) if x < w else (w, x))
-    return sorted(seen)
+            near = adj[y] & hadj[x]
+            rows[x] = rows.get(x, 0) | near
+            # partners below x belong to their own row
+            for w in iter_bits(near & ~adj[x] & ((1 << x) - 1)):
+                rows[w] = rows.get(w, 0) | (1 << x)
+    return sorted(rows.items())
 
 
 def run(
@@ -152,14 +141,11 @@ def run(
     r: int,
     host: Graph,
     max_steps: int | None = None,
-    incremental: bool = True,
 ) -> PercolationTrace:
     """Run the K_r bootstrap process from ``start`` inside ``host``.
 
     ``max_steps`` defaults to C(n, 2) + 1, which no process can exhaust, so by
-    default the trace is never truncated.  With ``incremental`` the engine
-    rechecks only pairs near the last batch; output is identical to the full
-    per-step scan either way.
+    default the trace is never truncated.
     """
     _check_inputs(start, r, host)
     if max_steps is None:
@@ -169,13 +155,10 @@ def run(
 
     current = start.copy()
     steps: list[list[tuple[int, int]]] = []
-    pending: list[tuple[int, int]] | None = None  # None means full scan
+    rows: list[tuple[int, int]] | None = None  # None means full scan
     truncated = False
     while True:
-        if pending is None:
-            batch = _step_full(current, r, host)
-        else:
-            batch = _step_candidates(current, r, pending)
+        batch = eligible(current.adj, r, enumerate(host.adj) if rows is None else rows)
         if not batch:
             break  # stabilized; never truncated, even at the exact budget
         if len(steps) >= max_steps:
@@ -184,7 +167,7 @@ def run(
         for u, v in batch:
             current.add_edge(u, v)
         steps.append(batch)
-        pending = _next_candidates(current, host, batch) if incremental else None
+        rows = _next_candidates(current, host, batch)
 
     return PercolationTrace(
         steps=steps,

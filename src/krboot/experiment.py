@@ -48,9 +48,7 @@ class ExperimentConfig:
     b_explicit: list[int] = field(default_factory=list)
     input: str | None = None
     max_steps: int | None = None
-    incremental: bool = True
     jobs: int = 1
-    seed: int = 0
 
 
 _KNOWN_KEYS = {
@@ -62,10 +60,8 @@ _KNOWN_KEYS = {
     "B",
     "input",
     "max_steps",
-    "incremental",
     "output",
     "jobs",
-    "seed",
 }
 
 
@@ -122,9 +118,6 @@ def parse_config(path) -> ExperimentConfig:
     b_explicit = [as_int("B", v) for v in pairs.get("B", [])]
     if b_source == "explicit" and not b_explicit:
         raise ValueError(f"{path}: b_source explicit needs 'B' entries")
-    incr_text = one("incremental", "on")
-    if incr_text not in ("on", "off"):
-        raise ValueError(f"{path}: incremental must be 'on' or 'off'")
     max_steps_text = one("max_steps", "auto")
     b_text = one("b")
     cfg = ExperimentConfig(
@@ -137,9 +130,7 @@ def parse_config(path) -> ExperimentConfig:
         b_explicit=b_explicit,
         input=one("input"),
         max_steps=None if max_steps_text == "auto" else as_int("max_steps", max_steps_text),
-        incremental=incr_text == "on",
         jobs=as_int("jobs", one("jobs", "1")),
-        seed=as_int("seed", one("seed", "0")),
     )
     if cfg.family == "hb" and cfg.b is None:
         raise ValueError(f"{path}: family hb needs 'b'")
@@ -162,10 +153,6 @@ def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet:
     return ApSet(10 * reduced.n, scaled)
 
 
-def _simulate(start: Graph, r: int, host: Graph, cfg: ExperimentConfig):
-    return engine.run(start, r, host, max_steps=cfg.max_steps, incremental=cfg.incremental)
-
-
 def compute_row(
     cfg: ExperimentConfig, n: int, slopes: ApSet | None = None
 ) -> dict[str, str]:
@@ -183,7 +170,8 @@ def compute_row(
             rep_ii = verify.check_pair_condition(h, f_pairs)
             row["cond_ii"] = "true" if rep_ii.passed else "false"
 
-    def put_trace(trace):
+    def put_trace(start: Graph):
+        trace = engine.run(start, cfg.r, Graph.complete(start.n), max_steps=cfg.max_steps)
         row["steps"] = str(trace.running_time)
         row["percolated"] = "true" if trace.percolated else "false"
 
@@ -201,7 +189,7 @@ def compute_row(
         row["start_edges"] = str(c.start.edge_count())
         row["m"] = str(len(c.hypergraph.edges))
         put_verify(c.hypergraph, c.f_pairs)
-        put_trace(_simulate(c.start, cfg.r, Graph.complete(c.hypergraph.n), cfg))
+        put_trace(c.start)
     elif cfg.family == "hb":
         h = constructions.build_hb(n, cfg.b)
         row["vertices"] = str(h.n)
@@ -219,13 +207,13 @@ def compute_row(
         g = constructions.minimal_percolating(n, cfg.r)
         row["vertices"] = str(n)
         row["start_edges"] = str(g.edge_count())
-        put_trace(_simulate(g, cfg.r, Graph.complete(n), cfg))
+        put_trace(g)
     elif cfg.family == "cone-of":
         base = fileio.read_graph(cfg.input)
         start = cone(base)
         row["vertices"] = str(start.n)
         row["start_edges"] = str(start.edge_count())
-        put_trace(_simulate(start, cfg.r, Graph.complete(start.n), cfg))
+        put_trace(start)
     else:  # pragma: no cover - guarded by parse_config
         raise ValueError(f"unknown family {cfg.family!r}")
 

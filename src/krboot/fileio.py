@@ -99,6 +99,8 @@ def read_fpairs(path) -> list[tuple[int, int]]:
     out = []
     for k, line in enumerate(lines, start=1):
         u, v = _int_fields(line, 2, path, k)
+        if not 0 <= u < v:
+            raise _fail(path, k, f"pair must be written 0 <= u < v, got {u} {v}")
         out.append((u, v))
     return out
 

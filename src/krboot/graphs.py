@@ -232,6 +232,11 @@ def cliques_in_subset(g: Graph, candidates: int, k: int) -> list[tuple[int, ...]
 
 def has_clique(g: Graph, candidates: int, k: int) -> bool:
     """Early-exit test: does ``candidates`` contain a k-clique of ``g``?"""
+    return has_clique_rows(g.adj, candidates, k)
+
+
+def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:
+    """``has_clique`` on raw adjacency rows, as the step kernel holds them."""
     if k <= 0:
         return True
     if k == 1:
@@ -241,7 +246,7 @@ def has_clique(g: Graph, candidates: int, k: int) -> bool:
         low = mask & -mask
         v = low.bit_length() - 1
         mask ^= low
-        rest = mask & g.adj[v]
-        if rest.bit_count() >= k - 1 and has_clique(g, rest, k - 1):
+        rest = mask & adj[v]
+        if rest.bit_count() >= k - 1 and has_clique_rows(adj, rest, k - 1):
             return True
     return False

@@ -2,8 +2,9 @@
 
 The exhaustive scan walks every subset of K_n's edges in binary-counter order
 (lexicographic edge list), so ties resolve to the first witness encountered.
-Each reported maximum is re-run through the trace engine as an independent
-confirmation before being returned.
+Each start graph runs through the engine's step kernel, ``engine.eligible``,
+without building a trace.  Each reported maximum is re-run through
+``engine.run`` as a confirmation before being returned.
 """
 from __future__ import annotations
 
@@ -28,49 +29,23 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _has_clique_rows(adj: list[int], mask: int, k: int) -> bool:
-    if k <= 0:
-        return True
-    if k == 1:
-        return mask != 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        rest = m & adj[v]
-        if rest.bit_count() >= k - 1 and _has_clique_rows(adj, rest, k - 1):
-            return True
-    return False
+def _running_time_complete_host(
+    adj: list[int], host_rows: list[tuple[int, int]], r: int
+) -> int:
+    """Steps to stabilization for the K_r process from the rows ``adj``.
 
-
-def _running_time_complete_host(adj: list[int], n: int, r: int) -> int:
-    """Steps to stabilization for the K_r process inside host K_n.
-
-    Mutates ``adj``.  Lean counterpart of ``engine.run`` used in the inner
-    search loop; witnesses are re-validated with the real engine afterwards.
+    ``host_rows`` is ``list(enumerate(host.adj))``, the kernel's full-scan
+    rows, built once per search.  Mutates ``adj``.  Shares the engine's step
+    kernel and skips only the trace bookkeeping; witnesses are re-validated
+    with ``engine.run`` afterwards.
     """
-    k = r - 2
-    full = (1 << n) - 1
     t = 0
-    while True:
-        batch = []
-        for u in range(n - 1):
-            cand = (full & ~adj[u]) >> (u + 1)
-            base = u + 1
-            while cand:
-                low = cand & -cand
-                v = base + low.bit_length() - 1
-                cand ^= low
-                common = adj[u] & adj[v]
-                if common and _has_clique_rows(adj, common, k):
-                    batch.append((u, v))
-        if not batch:
-            return t
+    while batch := engine.eligible(adj, r, host_rows):
         for u, v in batch:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         t += 1
+    return t
 
 
 def _adj_from_mask(mask: int, edges: list[tuple[int, int]], n: int) -> list[int]:
@@ -101,10 +76,11 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
     if r < 3:
         raise ValueError("need r >= 3")
     edges = _edge_list(n)
+    host_rows = list(enumerate(Graph.complete(n).adj))
     best_time = -1
     best_mask = 0
     for mask in range(1 << len(edges)):
-        t = _running_time_complete_host(_adj_from_mask(mask, edges, n), n, r)
+        t = _running_time_complete_host(_adj_from_mask(mask, edges, n), host_rows, r)
         if t > best_time:
             best_time = t
             best_mask = mask
@@ -124,12 +100,13 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     if samples < 1:
         raise ValueError("need at least one sample")
     edges = _edge_list(n)
+    host_rows = list(enumerate(Graph.complete(n).adj))
     rng = random.Random(seed)
     best_time = -1
     best_mask = 0
     for _ in range(samples):
         mask = rng.getrandbits(len(edges)) if edges else 0
-        t = _running_time_complete_host(_adj_from_mask(mask, edges, n), n, r)
+        t = _running_time_complete_host(_adj_from_mask(mask, edges, n), host_rows, r)
         if t > best_time:
             best_time = t
             best_mask = mask

@@ -94,6 +94,8 @@ def check_pair_condition(
             incidence.setdefault(v, set()).add(j)
     stats = {"pairs": m, "containments": 0}
     for i, (u, v) in enumerate(f_pairs):
+        if u == v:
+            raise ValueError(f"pair {i} is degenerate: ({u}, {v})")
         containing = incidence.get(u, set()) & incidence.get(v, set())
         stats["containments"] += len(containing)
         expected = {i} if i == m - 1 else {i, i + 1}

@@ -114,7 +114,7 @@ def test_simulate_respects_host_and_budget(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "steps=1 percolated=true truncated=false"
     assert run_cli("simulate", "--start", str(sp), "--r", "3", "--max-steps", "0") == 0
     assert capsys.readouterr().out.strip() == "steps=0 percolated=false truncated=true"
-    assert run_cli("simulate", "--start", str(sp), "--r", "3", "--no-incremental") == 0
+    assert run_cli("simulate", "--start", str(sp), "--r", "3") == 0
     assert capsys.readouterr().out.strip() == "steps=2 percolated=true truncated=false"
 
 

@@ -32,14 +32,13 @@ def test_parse_config_basic(tmp_path):
         "n 800\n"
         "b_source digits3\n"
         "max_steps auto\n"
-        "incremental on\n"
         "jobs 2\n"
         "output rows.csv\n",
     )
     cfg = parse_config(p)
     assert cfg.family == "hprime" and cfg.ns == [400, 800]
     assert cfg.r == 5  # family default
-    assert cfg.max_steps is None and cfg.incremental and cfg.jobs == 2
+    assert cfg.max_steps is None and cfg.jobs == 2
 
 
 def test_parse_config_explicit_slopes(tmp_path):
@@ -61,7 +60,8 @@ def test_parse_config_explicit_slopes(tmp_path):
         ("family chain\noutput o.csv\n", "at least one 'n'"),
         ("family chain\nn 1\nzzz 4\noutput o.csv\n", "unknown key"),
         ("family chain\nn 1\nr 5\nr 6\noutput o.csv\n", "more than once"),
-        ("family chain\nn 1\nincremental maybe\noutput o.csv\n", "'on' or 'off'"),
+        ("family chain\nn 1\nincremental maybe\noutput o.csv\n", "unknown key"),
+        ("family chain\nn 1\nseed 0\noutput o.csv\n", r"sweep.cfg:3: unknown key 'seed'"),
         ("family hb\nn 50\noutput o.csv\n", "needs 'b'"),
         ("family cone-of\nr 5\noutput o.csv\n", "needs 'input'"),
         ("family minimal\nn 6\noutput o.csv\n", "explicit 'r'"),

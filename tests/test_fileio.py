@@ -106,9 +106,10 @@ def test_fpairs_round_trip(tmp_path):
 
 def test_fpairs_rejects_bad_line(tmp_path):
     p = tmp_path / "f.txt"
-    p.write_text("1 2\n3\n")
-    with pytest.raises(ValueError, match=":2"):
-        fileio.read_fpairs(p)
+    for bad in ("3", "3 3", "4 3", "-1 2"):  # short, degenerate, reversed, negative
+        p.write_text(f"1 2\n{bad}\n")
+        with pytest.raises(ValueError, match=":2"):
+            fileio.read_fpairs(p)
 
 
 def test_apset_round_trip(tmp_path):

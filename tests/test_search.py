@@ -4,7 +4,13 @@ import pytest
 
 from krboot.engine import run
 from krboot.graphs import Graph, cone
-from krboot.search import max_running_time, max_running_time_sampled
+from krboot.search import (
+    _adj_from_mask,
+    _edge_list,
+    _running_time_complete_host,
+    max_running_time,
+    max_running_time_sampled,
+)
 
 
 def test_exhaustive_known_values_r3():
@@ -35,6 +41,18 @@ def test_witness_actually_attains_the_maximum():
         host = Graph.complete(n)
         trace = run(res.witness_start, r, host)
         assert trace.running_time == res.max_time
+
+
+def test_search_kernel_matches_engine_on_every_start():
+    n = 5
+    edges = _edge_list(n)
+    host = Graph.complete(n)
+    for r in (3, 4):
+        for mask in range(1 << len(edges)):
+            start = Graph.from_edges(n, [e for i, e in enumerate(edges) if mask >> i & 1])
+            adj = _adj_from_mask(mask, edges, n)
+            t = _running_time_complete_host(adj, list(enumerate(host.adj)), r)
+            assert t == run(start, r, host).running_time
 
 
 def test_exhaustive_bounds():

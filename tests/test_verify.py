@@ -110,6 +110,14 @@ def test_pair_condition_last_pair_must_be_private():
     assert not rep.passed and rep.witness[0] == 1
 
 
+def test_pair_condition_rejects_degenerate_pair():
+    # vertex 3 lies in exactly edges 0 and 1, so (3, 3) would otherwise pass
+    c = build_chain(4)
+    pairs = [(3, 3)] + list(c.f_pairs[1:])
+    with pytest.raises(ValueError, match="degenerate"):
+        check_pair_condition(c.hypergraph, pairs)
+
+
 def test_pair_condition_length_mismatch_rejected():
     c = build_chain(2)
     with pytest.raises(ValueError):
