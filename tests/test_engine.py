@@ -138,6 +138,10 @@ def test_incremental_equals_full_scan():
     c = build_chain(5)
     host = Graph.complete(c.hypergraph.n)
     assert run(c.start, 5, host).steps == full_scan_steps(c.start, 5, host)
+    # step 2 needs (2, 7): 7 is a batch endpoint of (1, 7), 2 a neighbour of 1
+    g = Graph.from_edges(8, [(0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 4),
+                             (3, 6), (3, 7), (4, 7), (5, 6), (5, 7), (6, 7)])
+    assert run(g, 4, Graph.complete(8)).steps == full_scan_steps(g, 4, Graph.complete(8))
 
 
 def test_batches_are_new_disjoint_edges():
