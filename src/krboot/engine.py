@@ -4,9 +4,12 @@ creates a new K_r, one simultaneous batch per step, until nothing changes.
 An absent edge (u, v) is eligible exactly when the common neighbourhood of u
 and v in the current graph contains an (r-2)-clique: that clique plus u, v and
 the new edge is a fresh K_r.  ``eligible`` is the one kernel that applies this
-rule; ``step_kr``, ``run`` and the start-graph search all call it.  After each
-batch ``run`` alone decides between an incremental scan of the pairs near that
-batch and a full scan, by which is cheaper; both give the same batch.
+rule; ``step_kr``, ``run`` and the start-graph search all call it.  Such a
+clique needs a common neighbour, so ``step_kr`` and ``run``'s first step scan
+only the two-hop rows of the current graph (``graphs.two_hop_rows``).  After
+each batch ``run`` scans the pairs near that batch, or falls back to the
+host's own rows when those would cost more than the host edges still missing;
+all three give the same batch.
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
 scratch and shares no step logic with the kernel.
 """
@@ -17,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import Graph, has_clique_rows, iter_bits
+from .graphs import Graph, has_clique_rows, iter_bits, two_hop_rows
 
 
 @dataclass
@@ -72,7 +75,7 @@ def _check_inputs(current: Graph, r: int, host: Graph) -> None:
 def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
     """One synchronous step: all host edges whose insertion creates a new K_r."""
     _check_inputs(current, r, host)
-    return eligible(current.adj, r, enumerate(host.adj))
+    return eligible(current.adj, r, two_hop_rows(current.adj, host.adj))
 
 
 def eligible(
@@ -101,7 +104,7 @@ def eligible(
 
 
 def _next_candidates(
-    current: Graph, host: Graph, batch: list[tuple[int, int]]
+    current: Graph, host: Graph, batch: list[tuple[int, int]], missing: int
 ) -> list[tuple[int, int]] | None:
     """Candidate rows for ``eligible`` after ``batch`` was just applied.
 
@@ -109,18 +112,17 @@ def _next_candidates(
     least one batch edge (u, v), so its endpoints lie in the common
     neighbourhood of u and v, or one of them is u or v itself.  Returns the
     host pairs near the batch as sorted ``(u, mask)`` rows, or None when
-    enumerating them would cost more than a plain full scan.
+    enumerating them would cost more than a plain full scan, whose cost is
+    ``missing``, the number of host edges not yet in ``current``.
     """
     adj = current.adj
     hadj = host.adj
-    # quadratic in common-neighbourhood size; bail out to a full scan if that
-    # exceeds the number of host edges still missing
-    full_cost = host.edge_count() - current.edge_count()
+    # quadratic in common-neighbourhood size
     est = 0
     for u, v in batch:
         c = (adj[u] & adj[v]).bit_count()
         est += c * (c - 1) // 2 + adj[u].bit_count() + adj[v].bit_count()
-        if est > 2 * full_cost:
+        if est > 2 * missing:
             return None
     rows: dict[int, int] = {}
     for u, v in batch:
@@ -154,11 +156,12 @@ def run(
         raise ValueError("max_steps must be non-negative")
 
     current = start.copy()
+    missing = host.edge_count() - start.edge_count()
     steps: list[list[tuple[int, int]]] = []
-    rows: list[tuple[int, int]] | None = None  # None means full scan
+    rows: Iterable[tuple[int, int]] = two_hop_rows(current.adj, host.adj)
     truncated = False
     while True:
-        batch = eligible(current.adj, r, enumerate(host.adj) if rows is None else rows)
+        batch = eligible(current.adj, r, rows)
         if not batch:
             break  # stabilized; never truncated, even at the exact budget
         if len(steps) >= max_steps:
@@ -167,7 +170,9 @@ def run(
         for u, v in batch:
             current.add_edge(u, v)
         steps.append(batch)
-        rows = _next_candidates(current, host, batch)
+        missing -= len(batch)
+        near = _next_candidates(current, host, batch, missing)
+        rows = enumerate(host.adj) if near is None else near
 
     return PercolationTrace(
         steps=steps,

@@ -38,6 +38,8 @@ def read_graph(path) -> Graph:
     if not lines:
         raise _fail(path, 1, "empty graph file")
     n, m = _int_fields(lines[0], 2, path, 1)
+    if n < 0:
+        raise _fail(path, 1, f"vertex count must be non-negative, got {n}")
     if len(lines) != m + 1:
         raise _fail(path, len(lines), f"expected {m} edge lines, got {len(lines) - 1}")
     g = Graph(n)
@@ -46,6 +48,8 @@ def read_graph(path) -> Graph:
         u, v = _int_fields(line, 2, path, k)
         if not u < v:
             raise _fail(path, k, f"edge must be written u < v, got {u} {v}")
+        if u < 0 or v >= n:
+            raise _fail(path, k, f"edge {u} {v} has vertex out of range [0, {n})")
         if (u, v) <= prev:
             raise _fail(path, k, "edges must be strictly ascending")
         prev = (u, v)
@@ -70,20 +74,30 @@ def read_hypergraph(path) -> UniformHypergraph:
     if not lines:
         raise _fail(path, 1, "empty hypergraph file")
     n, r, m = _int_fields(lines[0], 3, path, 1)
+    if n < 0 or r < 2 or m < 0:
+        raise _fail(path, 1, f"need n >= 0, r >= 2 and m >= 0, got {n} {r} {m}")
     if len(lines) < m + 1:
         raise _fail(path, len(lines), f"expected {m} edge lines")
     edges = []
     for k, line in enumerate(lines[1 : m + 1], start=2):
         ids = _int_fields(line, r, path, k)
-        if ids != sorted(ids):
-            raise _fail(path, k, "edge vertices must be ascending")
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise _fail(path, k, "edge vertices must be strictly ascending")
+        if ids[0] < 0 or ids[-1] >= n:
+            raise _fail(path, k, f"edge has vertex out of range [0, {n})")
         edges.append(ids)
     labels: dict[int, tuple[str, int]] = {}
     for k, line in enumerate(lines[m + 1 :], start=m + 2):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "#" or parts[1] != "label":
             raise _fail(path, k, f"expected '# label <id> <class> <index>', got {line!r}")
-        labels[int(parts[2])] = (parts[3], int(parts[4]))
+        try:
+            v, idx = int(parts[2]), int(parts[4])
+        except ValueError:
+            raise _fail(path, k, f"non-integer field in {line!r}") from None
+        if not 0 <= v < n:
+            raise _fail(path, k, f"label on unknown vertex {v}")
+        labels[v] = (parts[3], idx)
     return UniformHypergraph(n, r, edges, labels)
 
 
@@ -118,9 +132,18 @@ def read_apset(path) -> ApSet:
     if not lines:
         raise _fail(path, 1, "empty set file")
     n, k = _int_fields(lines[0], 2, path, 1)
+    if n < 0:
+        raise _fail(path, 1, f"ambient bound must be non-negative, got {n}")
     if len(lines) != k + 1:
         raise _fail(path, len(lines), f"expected {k} element lines")
-    elems = [_int_fields(line, 1, path, i)[0] for i, line in enumerate(lines[1:], 2)]
+    elems: list[int] = []
+    for i, line in enumerate(lines[1:], start=2):
+        (e,) = _int_fields(line, 1, path, i)
+        if not 1 <= e <= n:
+            raise _fail(path, i, f"element {e} outside [1, {n}]")
+        if elems and e <= elems[-1]:
+            raise _fail(path, i, "elements must be strictly increasing")
+        elems.append(e)
     return ApSet(n, tuple(elems))
 
 

@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from .graphs import UniformHypergraph, cliques_in_subset, two_skeleton
+from .graphs import (
+    UniformHypergraph,
+    cliques_in_subset,
+    iter_bits,
+    two_hop_rows,
+    two_skeleton,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .apsets import ApSet
@@ -37,26 +43,33 @@ def check_induced_free(
 ) -> VerificationReport:
     """Does every near-complete r-set of the 2-skeleton sit inside a hyperedge?
 
-    Scans all vertex pairs {u, v} in ascending order; every (r-2)-clique in
-    their common skeleton neighbourhood spans, together with u and v, at least
+    Sweeps vertex pairs {u, v} in ascending order; every (r-2)-clique in their
+    common skeleton neighbourhood spans, together with u and v, at least
     C(r,2) - 1 edges and must therefore equal some hyperedge's vertex set.
     Choosing {u, v} as the one possibly-missing pair makes this sweep catch
-    every such r-set.  First offender (lowest pair) becomes the witness;
-    ``verbose`` collects them all.
+    every such r-set.  Since r >= 3, a pair without a common neighbour has no
+    such clique, so only the skeleton's two-hop pairs are examined.  First
+    offender (lowest pair) becomes the witness; ``verbose`` collects them all.
+
+    ``stats["pairs"]`` counts the pairs in lexicographic order up to where the
+    sweep stopped (all C(n, 2) on a pass), ``stats["pairs_scanned"]`` the
+    two-hop pairs among them that were examined.
     """
     if h.r != r:
         raise ValueError(f"hypergraph is {h.r}-uniform, expected {r}")
     if r < 3:
         raise ValueError("need r >= 3")
+    n = h.n
     skel = two_skeleton(h)
     edge_sets = set(h.edges)
-    stats = {"pairs": 0, "candidates": 0}
+    stats = {"pairs": n * (n - 1) // 2, "pairs_scanned": 0, "candidates": 0}
     failures: list[tuple] = []
     first: tuple | None = None
-    for u in range(h.n):
+    for u, reach in two_hop_rows(skel.adj):
         row = skel.adj[u]
-        for v in range(u + 1, h.n):
-            stats["pairs"] += 1
+        for v in iter_bits(reach >> (u + 1)):
+            v += u + 1
+            stats["pairs_scanned"] += 1
             common = row & skel.adj[v]
             if common.bit_count() < r - 2:
                 continue
@@ -67,6 +80,8 @@ def check_induced_free(
                     if first is None:
                         first = cand
                     if not verbose:
+                        # (u, v) is pair number u(n-1) - C(u,2) + (v-u) in order
+                        stats["pairs"] = u * (n - 1) - u * (u - 1) // 2 + v - u
                         return VerificationReport(
                             False, first, "near-clique", stats, [first]
                         )

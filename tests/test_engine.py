@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from krboot import engine
 from krboot.constructions import build_chain, minimal_percolating
 from krboot.engine import PercolationTrace, replay, run, run_oracle, step_kr
 from krboot.graphs import Graph, cone
@@ -120,14 +121,42 @@ def test_run_equals_oracle_on_random_instances():
 
 
 def full_scan_steps(g: Graph, r: int, host: Graph) -> list[list[tuple[int, int]]]:
-    """Batches from a full ``step_kr`` scan at every step, never incremental."""
+    """Batches from a scan of every host pair at every step, no pruning at all."""
     g = g.copy()
     steps = []
-    while batch := step_kr(g, r, host):
+    while batch := engine.eligible(g.adj, r, enumerate(host.adj)):
         for u, v in batch:
             g.add_edge(u, v)
         steps.append(batch)
     return steps
+
+
+def sparse_instance(rng: random.Random):
+    """Start and host where two-hop pruning drops pairs: isolated vertices,
+    several components, or an empty start, inside a random non-complete host."""
+    n = rng.randint(3, 12)
+    r = rng.choice([3, 3, 4, 5])
+    host = Graph(n)
+    p_host = rng.choice([0.6, 0.8, 1.0])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p_host:
+                host.add_edge(u, v)
+    g = Graph(n)
+    kind = rng.choice(["isolated", "isolated", "components", "components", "empty"])
+    if kind == "empty":
+        return g, r, host
+    if kind == "isolated":
+        blocks = [[v for v in range(n) if rng.random() < 0.6]]
+    else:
+        cut = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(1, 3))))
+        blocks = [list(range(a, b)) for a, b in zip([0] + cut, cut + [n])]
+    for block in blocks:
+        for i, u in enumerate(block):
+            for v in block[i + 1 :]:
+                if host.has_edge(u, v) and rng.random() < 0.6:
+                    g.add_edge(u, v)
+    return g, r, host
 
 
 def test_incremental_equals_full_scan():
@@ -142,6 +171,34 @@ def test_incremental_equals_full_scan():
     g = Graph.from_edges(8, [(0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (1, 6), (2, 4),
                              (3, 6), (3, 7), (4, 7), (5, 6), (5, 7), (6, 7)])
     assert run(g, 4, Graph.complete(8)).steps == full_scan_steps(g, 4, Graph.complete(8))
+
+
+def test_two_hop_first_step_equals_full_scan_on_sparse_starts():
+    rng = random.Random(2718)
+    for _ in range(400):
+        g, r, host = sparse_instance(rng)
+        expected = full_scan_steps(g, r, host)
+        assert step_kr(g, r, host) == (expected[0] if expected else [])
+        assert run(g, r, host).steps == expected
+    # two triangles joined by one edge; (0, 4) has a common neighbour only after step 1
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    assert run(g, 3, Graph.complete(6)).steps == full_scan_steps(g, 3, Graph.complete(6))
+
+
+def test_run_does_not_recount_edges_per_step(monkeypatch):
+    calls = 0
+    count = Graph.edge_count
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return count(self)
+
+    monkeypatch.setattr(Graph, "edge_count", counting)
+    c = build_chain(30)
+    t = run(c.start, 5, Graph.complete(c.hypergraph.n))
+    assert t.running_time >= 30
+    assert calls <= 3  # host and start once, the final graph once
 
 
 def test_batches_are_new_disjoint_edges():

@@ -95,6 +95,22 @@ def test_hypergraph_rejects_malformed(tmp_path, text):
         fileio.read_hypergraph(p)
 
 
+@pytest.mark.parametrize(
+    "reader, text, line",
+    [
+        (fileio.read_graph, "3 1\n0 5\n", 2),  # vertex out of range
+        (fileio.read_hypergraph, "5 2 1\n0 9\n", 2),  # vertex out of range
+        (fileio.read_hypergraph, "5 2 1\n0 1\n# label x X 3\n", 3),  # non-integer id
+        (fileio.read_hypergraph, "5 2 -1\n", 1),  # negative edge count
+    ],
+)
+def test_range_and_label_errors_name_the_line(tmp_path, reader, text, line):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.txt:{line}: "):
+        reader(p)
+
+
 def test_fpairs_round_trip(tmp_path):
     c = build_chain(4)
     p = tmp_path / "f.txt"
@@ -125,9 +141,11 @@ def test_apset_rejects_malformed(tmp_path):
     p.write_text("9 2\n1\n")
     with pytest.raises(ValueError):
         fileio.read_apset(p)
-    p.write_text("9 2\n5\n1\n")  # ApSet itself rejects the unordered elements
-    with pytest.raises(ValueError):
-        fileio.read_apset(p)
+    # unordered, above n, below 1
+    for bad, line in (("9 2\n5\n1\n", 3), ("9 1\n12\n", 2), ("9 1\n0\n", 2)):
+        p.write_text(bad)
+        with pytest.raises(ValueError, match=rf"s\.txt:{line}: "):
+            fileio.read_apset(p)
 
 
 def test_trace_round_trip(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from krboot.apsets import ApSet
 from krboot.constructions import ConstructionOutput, build_chain, build_h6, build_hprime
-from krboot.graphs import UniformHypergraph, two_skeleton
+from krboot.graphs import UniformHypergraph, cliques_in_subset, two_skeleton
 from krboot.verify import (
     check_ap_free,
     check_induced_free,
@@ -27,6 +27,40 @@ def naive_offenders(h: UniformHypergraph, r: int) -> set[tuple[int, ...]]:
         if spanned >= r * (r - 1) // 2 - 1 and sub not in edges:
             bad.add(sub)
     return bad
+
+
+def all_pairs_sweep(h: UniformHypergraph, r: int, verbose: bool):
+    """Reference cond (i) sweep over every pair, no two-hop pruning.
+
+    Returns (passed, witness, failures, candidates, pairs swept).
+    """
+    skel = two_skeleton(h)
+    edges = set(h.edges)
+    pairs = candidates = 0
+    failures = []
+    for u, v in itertools.combinations(range(h.n), 2):
+        pairs += 1
+        for clique in cliques_in_subset(skel, skel.adj[u] & skel.adj[v], r - 2):
+            candidates += 1
+            cand = tuple(sorted((u, v) + clique))
+            if cand not in edges:
+                if not verbose:
+                    return False, cand, [cand], candidates, pairs
+                if cand not in failures:
+                    failures.append(cand)
+    witness = failures[0] if failures else None
+    return not failures, witness, failures, candidates, pairs
+
+
+def random_hypergraphs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        m = rng.randint(1, 4)
+        edges = set()
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(n), 4))))
+        yield UniformHypergraph(n, 4, sorted(edges))
 
 
 OVERLAP3 = UniformHypergraph(7, 5, [(0, 1, 2, 3, 4), (2, 3, 4, 5, 6)])
@@ -66,19 +100,43 @@ def test_induced_free_verbose_lists_every_offender():
 
 
 def test_induced_free_matches_naive_on_random_hypergraphs():
-    rng = random.Random(420)
-    for _ in range(60):
-        n = rng.randint(5, 9)
-        m = rng.randint(1, 4)
-        edges = set()
-        while len(edges) < m:
-            edges.add(tuple(sorted(rng.sample(range(n), 4))))
-        h = UniformHypergraph(n, 4, sorted(edges))
+    for h in random_hypergraphs(420, 60):
         rep = check_induced_free(h, 4)
         bad = naive_offenders(h, 4)
         assert rep.passed == (not bad)
         if bad:
             assert rep.witness in bad
+
+
+def test_induced_free_equals_all_pairs_sweep():
+    cases = [(h, 4) for h in random_hypergraphs(420, 60)]
+    cases += [(build_h6(20).hypergraph, 6), (OVERLAP3, 5)]
+    failing = 0
+    for h, r in cases:
+        for verbose in (False, True):
+            rep = check_induced_free(h, r, verbose)
+            passed, witness, failures, candidates, pairs = all_pairs_sweep(h, r, verbose)
+            assert (rep.passed, rep.witness, rep.failures) == (passed, witness, failures)
+            assert rep.stats["candidates"] == candidates
+            if not verbose:
+                assert rep.stats["pairs"] == pairs
+            assert rep.stats["pairs_scanned"] <= rep.stats["pairs"]
+        failing += not rep.passed
+    assert failing >= 10
+
+
+def test_induced_free_pairs_count_up_to_the_witness():
+    rep = check_induced_free(OVERLAP3, 5)
+    # the sweep stops at (0, 5), the 5th pair of 7 vertices in lexicographic order
+    assert rep.witness == (0, 2, 3, 4, 5)
+    assert rep.stats["pairs"] == 5 == all_pairs_sweep(OVERLAP3, 5, False)[4]
+    full = check_induced_free(OVERLAP3, 5, verbose=True)
+    assert full.stats["pairs"] == 21
+    # 2, 3 and 4 see every vertex, so every pair has a common neighbour
+    assert full.stats["pairs_scanned"] == 21
+    # isolated vertex 7 adds 7 pairs to the sweep but none to the scan
+    iso = check_induced_free(UniformHypergraph(8, 5, OVERLAP3.edges), 5, verbose=True)
+    assert iso.stats["pairs"] == 28 and iso.stats["pairs_scanned"] == 21
 
 
 def test_pair_condition_passes_on_builders():
@@ -149,6 +207,7 @@ def test_verify_construction_merges_both_checks():
     assert rep.passed
     assert rep.stats["cond_i"] == 1 and rep.stats["cond_ii"] == 1
     assert rep.stats["cond_i_pairs"] > 0 and rep.stats["cond_ii_pairs"] == 3
+    assert 0 < rep.stats["cond_i_pairs_scanned"] <= rep.stats["cond_i_pairs"]
 
 
 def test_verify_construction_reports_first_failing_condition():
