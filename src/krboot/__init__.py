@@ -5,7 +5,7 @@ process to stabilization, verify the structural conditions behind the
 step-per-pair lower bounds, and search small hosts exhaustively.
 """
 
-from .apsets import ApSet, ap_behrend, ap_digits3, ap_max_exhaustive
+from .apsets import ApSet, ap_digits3, ap_max_exhaustive
 from .constructions import (
     ConstructionOutput,
     IntegrityError,
@@ -48,7 +48,6 @@ __all__ = [
     "PercolationTrace",
     "UniformHypergraph",
     "VerificationReport",
-    "ap_behrend",
     "ap_digits3",
     "ap_max_exhaustive",
     "build_chain",

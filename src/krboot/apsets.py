@@ -1,13 +1,13 @@
 """Sets of integers in [1, n] containing no 3-term arithmetic progression.
 
-Three generators at different quality/cost points: a base-3 digit set (fast,
-size 2^floor(log3 n)), a sphere-digit sweep (better for large n), and an exact
-branch-and-bound maximiser for tiny n.
+Two generators at different quality/cost points: a base-3 digit set (fast,
+size 2^floor(log3 n)) and an exact branch-and-bound maximiser for tiny n.
+``SOURCES`` maps each generator's name to the generator; the CLI and the
+sweep config both choose from it.
 """
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 
@@ -50,50 +50,6 @@ def ap_digits3(n: int) -> ApSet:
     return ApSet(n, tuple(v + 1 for v in vals))
 
 
-def ap_behrend(n: int, time_budget_s: float = 2.0) -> ApSet:
-    """Sphere-digit construction: best fixed-norm digit vectors, checked.
-
-    Vectors x in {0..d-1}^k with a common squared norm map injectively to
-    integers via base (2d-1); digit sums never carry, so an arithmetic
-    progression would force equal vectors on a sphere, which cannot happen.
-    Falls back to ``ap_digits3`` whenever the sweep does no better.  The
-    result is always re-checked for 3-AP-freeness before returning.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    best = ap_digits3(n)
-    deadline = time.monotonic() + time_budget_s
-    k = 2
-    while (3**k - 1) // 2 + 1 <= n and time.monotonic() < deadline:
-        d = 2
-        while True:
-            base = 2 * d - 1
-            top = (d - 1) * (base**k - 1) // (base - 1)  # largest mapped value
-            if top + 1 > n:
-                break
-            buckets: dict[int, list[int]] = {}
-            for digits in itertools.product(range(d), repeat=k):
-                norm = sum(x * x for x in digits)
-                val = 0
-                for x in digits:
-                    val = val * base + x
-                buckets.setdefault(norm, []).append(val + 1)
-            cand = max(buckets.values(), key=len)
-            if len(cand) > len(best):
-                best = ApSet(n, tuple(sorted(cand)))
-            d += 1
-            if time.monotonic() > deadline:
-                break
-        k += 1
-
-    from .verify import check_ap_free
-
-    report = check_ap_free(best)
-    if not report.passed:
-        raise AssertionError(f"generated set failed its own 3-AP check: {report.witness}")
-    return best
-
-
 def ap_max_exhaustive(n: int) -> ApSet:
     """Exact maximum 3-AP-free subset of [1, n] by branch and bound; n <= 25."""
     if n < 1:
@@ -122,3 +78,6 @@ def ap_max_exhaustive(n: int) -> ApSet:
 
     extend(1)
     return ApSet(n, tuple(best))
+
+
+SOURCES = {"digits3": ap_digits3, "exhaustive": ap_max_exhaustive}

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import constructions, engine, experiment, fileio, verify
-from .apsets import ApSet, ap_behrend, ap_digits3, ap_max_exhaustive
+from .apsets import SOURCES, ApSet
 from .graphs import Graph, cone
 from .search import max_running_time, max_running_time_sampled
 
@@ -122,12 +122,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_apset(args) -> int:
-    if args.source == "digits3":
-        s = ap_digits3(args.n)
-    elif args.source == "behrend":
-        s = ap_behrend(args.n)
-    else:
-        s = ap_max_exhaustive(args.n)
+    s = SOURCES[args.source](args.n)
     if args.out:
         fileio.write_apset(s, args.out)
     print(f"n={s.n} size={len(s.elements)}")
@@ -135,9 +130,11 @@ def cmd_apset(args) -> int:
 
 
 def cmd_maxtime(args) -> int:
+    if args.samples is not None and args.seed is None:
+        raise ValueError("--samples requires --seed")
+    if args.seed is not None and args.samples is None:
+        raise ValueError("--seed requires --samples")
     if args.samples is not None:
-        if args.seed is None:
-            raise ValueError("--samples requires --seed")
         res = max_running_time_sampled(args.n, args.r, args.samples, args.seed)
         print(f"M_{args.r}({args.n}) >= {res.max_time} (sampled, {args.samples} starts)")
     else:
@@ -205,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=cmd_verify)
 
     a = sub.add_parser("apset", help="emit a 3-AP-free subset of [1, n]")
-    a.add_argument("--source", required=True, choices=["digits3", "behrend", "exhaustive"])
+    a.add_argument("--source", required=True, choices=list(SOURCES))
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--out", help="write the set to this file")
     a.set_defaults(func=cmd_apset)
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--r", type=int, required=True)
     m.add_argument("--samples", type=int, help="sample instead of exhausting")
-    m.add_argument("--seed", type=int, help="RNG seed (required with --samples)")
+    m.add_argument("--seed", type=int, help="RNG seed (required with --samples, only with it)")
     m.add_argument("--witness-out", help="write the witness start graph here")
     m.set_defaults(func=cmd_maxtime)
 

@@ -35,9 +35,12 @@ class ConstructionOutput:
 
 def starting_graph(c: ConstructionOutput) -> Graph:
     """Recompute the start graph: 2-skeleton minus the designated pairs."""
-    skel = two_skeleton(c.hypergraph)
+    return _minus_pairs(two_skeleton(c.hypergraph), c.f_pairs)
+
+
+def _minus_pairs(skel: Graph, f_pairs: list[tuple[int, int]]) -> Graph:
     g = skel.copy()
-    for u, v in c.f_pairs:
+    for u, v in f_pairs:
         if not g.has_edge(u, v):
             raise IntegrityError(
                 f"designated pair ({u}, {v}) is not a (remaining) skeleton edge"
@@ -56,9 +59,8 @@ def _assemble(
     for i, ((u, v), e) in enumerate(zip(f_pairs, h.edges)):
         if u not in e or v not in e:
             raise IntegrityError(f"pair {f_pairs[i]} not inside hyperedge {i}")
-    c = ConstructionOutput(h, f_pairs, two_skeleton(h), Graph(0), meta)
-    c.start = starting_graph(c)
-    return c
+    skel = two_skeleton(h)
+    return ConstructionOutput(h, f_pairs, skel, _minus_pairs(skel, f_pairs), meta)
 
 
 # ---------------------------------------------------------------- 6-uniform
@@ -129,11 +131,12 @@ def _xyz_ids(n: int):
     return 0, n + 1, 2 * n + 2
 
 
-def _hb_edges(n: int, b: int) -> list[tuple[int, ...]]:
+def _hb_edges(n: int, b: int, s: int, l: int) -> list[tuple[int, ...]]:
+    """Slope-b chain edges i = s .. l-1; the full chain is s=0, l=n-2b."""
     x0, y0, z0 = _xyz_ids(n)
     return [
         (x0 + i, x0 + i + 1, y0 + i + b, z0 + i + 2 * b, z0 + i + 2 * b + 1)
-        for i in range(n - 2 * b)
+        for i in range(s, l)
     ]
 
 
@@ -153,7 +156,7 @@ def build_hb(n: int, b: int) -> UniformHypergraph:
         raise ValueError("need b >= 1")
     if n - 2 * b - 1 < 0:
         raise ValueError(f"slope {b} too steep for n={n}")
-    return UniformHypergraph(3 * n + 3, 5, _hb_edges(n, b), _xyz_labels(n))
+    return UniformHypergraph(3 * n + 3, 5, _hb_edges(n, b, 0, n - 2 * b), _xyz_labels(n))
 
 
 def build_hB(n: int, B: ApSet) -> UniformHypergraph:
@@ -163,7 +166,7 @@ def build_hB(n: int, B: ApSet) -> UniformHypergraph:
             raise ValueError(f"slope {b} outside [1, {n // 2 - 1}]")
     edges: list[tuple[int, ...]] = []
     for b in B.elements:
-        edges.extend(_hb_edges(n, b))
+        edges.extend(_hb_edges(n, b, 0, n - 2 * b))
     if len(set(edges)) != len(edges):
         raise IntegrityError("slope chains must not share edges")
     return UniformHypergraph(3 * n + 3, 5, edges, _xyz_labels(n))
@@ -191,7 +194,7 @@ def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
     if not rep.passed:
         raise ValueError(f"B/10 contains an arithmetic progression: {rep.witness}")
 
-    x0, y0, z0 = _xyz_ids(n)
+    x0, _, z0 = _xyz_ids(n)
 
     def handoff(idx: int, b: int) -> tuple[int, int]:
         return (x0 + idx, z0 + idx + 2 * b)
@@ -222,10 +225,7 @@ def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
 
     edges: list[tuple[int, ...]] = []
     for idx, (b, s, l) in enumerate(chains):
-        edges.extend(
-            (x0 + i, x0 + i + 1, y0 + i + b, z0 + i + 2 * b, z0 + i + 2 * b + 1)
-            for i in range(s, l)
-        )
+        edges.extend(_hb_edges(n, b, s, l))
         if idx < gadgets:
             nb, ns, _ = chains[idx + 1]
             u_base = 3 * n + 3 + 7 * idx

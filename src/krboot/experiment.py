@@ -2,7 +2,8 @@
 
 Config lines are ``key value`` pairs; ``#`` starts a comment and repeating a
 key builds a list (``n 10`` / ``n 20``).  Existing output rows are detected by
-their (family, n, r, B_size) key and skipped, so interrupted sweeps resume.
+their (family, n, r, B, max_steps) key and skipped, so interrupted sweeps
+resume.
 Per-point failures and violated row invariants go to ``<output>.errors.log``
 while the sweep keeps going.
 """
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import constructions, engine, fileio, verify
-from .apsets import ApSet, ap_behrend, ap_digits3, ap_max_exhaustive
+from .apsets import SOURCES, ApSet
 from .graphs import Graph, cone
 
 CSV_FIELDS = [
@@ -23,6 +24,8 @@ CSV_FIELDS = [
     "n",
     "r",
     "B_size",
+    "B",
+    "max_steps",
     "vertices",
     "start_edges",
     "m",
@@ -35,6 +38,7 @@ CSV_FIELDS = [
 
 FAMILIES = ("h6", "chain", "hb", "hB", "hprime", "minimal", "cone-of")
 DEFAULT_R = {"h6": 6, "chain": 5, "hb": 5, "hB": 5, "hprime": 5}
+SIMULATED = ("h6", "chain", "hprime", "minimal", "cone-of")
 
 
 @dataclass
@@ -66,7 +70,7 @@ _KNOWN_KEYS = {
 
 
 def parse_config(path) -> ExperimentConfig:
-    pairs: dict[str, list[str]] = {}
+    pairs: dict[str, list[tuple[int, str]]] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -78,66 +82,80 @@ def parse_config(path) -> ExperimentConfig:
             key, value = parts
             if key not in _KNOWN_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            pairs.setdefault(key, []).append(value)
+            pairs.setdefault(key, []).append((lineno, value))
+
+    def at(key: str, i: int = 0) -> str:
+        """``path:line`` of occurrence ``i`` of ``key``."""
+        return f"{path}:{pairs[key][i][0]}"
 
     def one(key: str, default: str | None = None) -> str | None:
         vals = pairs.get(key)
         if vals is None:
             return default
         if len(vals) > 1:
-            raise ValueError(f"{path}: key {key!r} given more than once")
-        return vals[0]
+            raise ValueError(f"{at(key, 1)}: key {key!r} given more than once")
+        return vals[0][1]
 
-    def as_int(key: str, text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{path}: key {key!r} needs an integer, got {text!r}") from None
+    def ints(key: str) -> list[int]:
+        out = []
+        for i, (_, text) in enumerate(pairs.get(key, [])):
+            try:
+                out.append(int(text))
+            except ValueError:
+                raise ValueError(
+                    f"{at(key, i)}: key {key!r} needs an integer, got {text!r}"
+                ) from None
+        return out
+
+    def one_int(key: str, default: int | None = None) -> int | None:
+        one(key)
+        return next(iter(ints(key)), default)
 
     family = one("family")
     if family is None:
         raise ValueError(f"{path}: missing required key 'family'")
     if family not in FAMILIES:
-        raise ValueError(f"{path}: unknown family {family!r}")
+        raise ValueError(f"{at('family')}: unknown family {family!r}")
     output = one("output")
     if output is None:
         raise ValueError(f"{path}: missing required key 'output'")
-    ns = [as_int("n", v) for v in pairs.get("n", [])]
+    ns = ints("n")
     if not ns and family != "cone-of":
         raise ValueError(f"{path}: at least one 'n' required")
-    r_text = one("r")
-    if r_text is None:
+    r = one_int("r")
+    if r is None:
         if family not in DEFAULT_R:
-            raise ValueError(f"{path}: family {family!r} needs an explicit 'r'")
+            raise ValueError(f"{at('family')}: family {family!r} needs an explicit 'r'")
         r = DEFAULT_R[family]
-    else:
-        r = as_int("r", r_text)
     b_source = one("b_source", "digits3")
-    if b_source not in ("digits3", "behrend", "exhaustive", "explicit"):
-        raise ValueError(f"{path}: unknown b_source {b_source!r}")
-    b_explicit = [as_int("B", v) for v in pairs.get("B", [])]
+    if b_source != "explicit" and b_source not in SOURCES:
+        raise ValueError(f"{at('b_source')}: unknown b_source {b_source!r}")
+    b_explicit = ints("B")
+    for i, b in enumerate(b_explicit):
+        if b < 1:
+            raise ValueError(f"{at('B', i)}: slope {b} must be positive")
+        if b in b_explicit[:i]:
+            raise ValueError(f"{at('B', i)}: slope {b} given more than once")
     if b_source == "explicit" and not b_explicit:
-        raise ValueError(f"{path}: b_source explicit needs 'B' entries")
-    max_steps_text = one("max_steps", "auto")
-    b_text = one("b")
+        raise ValueError(f"{at('b_source')}: b_source explicit needs 'B' entries")
     cfg = ExperimentConfig(
         family=family,
         ns=ns,
         r=r,
         output=output,
-        b=as_int("b", b_text) if b_text is not None else None,
+        b=one_int("b"),
         b_source=b_source,
         b_explicit=b_explicit,
         input=one("input"),
-        max_steps=None if max_steps_text == "auto" else as_int("max_steps", max_steps_text),
-        jobs=as_int("jobs", one("jobs", "1")),
+        max_steps=None if one("max_steps", "auto") == "auto" else one_int("max_steps"),
+        jobs=one_int("jobs", 1),
     )
     if cfg.family == "hb" and cfg.b is None:
-        raise ValueError(f"{path}: family hb needs 'b'")
+        raise ValueError(f"{at('family')}: family hb needs 'b'")
     if cfg.family == "cone-of" and cfg.input is None:
-        raise ValueError(f"{path}: family cone-of needs 'input'")
+        raise ValueError(f"{at('family')}: family cone-of needs 'input'")
     if cfg.jobs < 1:
-        raise ValueError(f"{path}: jobs must be >= 1")
+        raise ValueError(f"{at('jobs')}: jobs must be >= 1")
     return cfg
 
 
@@ -147,10 +165,30 @@ def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet:
     bound = n // 40
     if bound < 1:
         raise ValueError(f"n={n} too small to generate slopes (need n >= 40)")
-    gen = {"digits3": ap_digits3, "behrend": ap_behrend, "exhaustive": ap_max_exhaustive}
-    reduced = gen[cfg.b_source](bound)
+    reduced = SOURCES[cfg.b_source](bound)
     scaled = tuple(10 * b for b in reduced.elements)
     return ApSet(10 * reduced.n, scaled)
+
+
+def _point_cells(cfg: ExperimentConfig, n: int, slopes: ApSet | None) -> dict[str, str]:
+    """The cells that say which computation a row is; blank when not applicable.
+
+    ``B`` lists the slopes handed to the builder (``b`` for hb) and
+    ``max_steps`` the engine budget for families that simulate.
+    """
+    if slopes is not None:
+        b_cell = ";".join(map(str, slopes.elements))
+    else:
+        b_cell = str(cfg.b) if cfg.family == "hb" else ""
+    simulated_budget = cfg.family in SIMULATED and cfg.max_steps is not None
+    return {
+        "family": cfg.family,
+        "n": str(n),
+        "r": str(cfg.r),
+        "B_size": str(len(slopes.elements)) if slopes is not None else "",
+        "B": b_cell,
+        "max_steps": str(cfg.max_steps) if simulated_budget else "",
+    }
 
 
 def compute_row(
@@ -158,10 +196,10 @@ def compute_row(
 ) -> dict[str, str]:
     """One sweep point.  Blank cells mean 'not applicable to this family'."""
     t0 = time.perf_counter()
+    if slopes is None and cfg.family in ("hB", "hprime"):
+        slopes = _slopes_for(cfg, n)
     row = {key: "" for key in CSV_FIELDS}
-    row["family"] = cfg.family
-    row["n"] = str(n)
-    row["r"] = str(cfg.r)
+    row.update(_point_cells(cfg, n, slopes))
 
     def put_verify(h, f_pairs=None):
         rep_i = verify.check_induced_free(h, cfg.r)
@@ -181,10 +219,7 @@ def compute_row(
         elif cfg.family == "chain":
             c = constructions.build_chain(n)
         else:
-            if slopes is None:
-                slopes = _slopes_for(cfg, n)
             c = constructions.build_hprime(n, slopes)
-            row["B_size"] = str(len(slopes.elements))
         row["vertices"] = str(c.hypergraph.n)
         row["start_edges"] = str(c.start.edge_count())
         row["m"] = str(len(c.hypergraph.edges))
@@ -196,10 +231,7 @@ def compute_row(
         row["m"] = str(len(h.edges))
         put_verify(h)
     elif cfg.family == "hB":
-        if slopes is None:
-            slopes = _slopes_for(cfg, n)
         h = constructions.build_hB(n, slopes)
-        row["B_size"] = str(len(slopes.elements))
         row["vertices"] = str(h.n)
         row["m"] = str(len(h.edges))
         put_verify(h)
@@ -221,8 +253,8 @@ def compute_row(
     return row
 
 
-def _row_key(row: dict[str, str]) -> tuple[str, str, str, str]:
-    return (row["family"], row["n"], row["r"], row["B_size"])
+def _row_key(row: dict[str, str]) -> tuple[str, ...]:
+    return (row["family"], row["n"], row["r"], row["B"], row["max_steps"])
 
 
 def _row_invariant_ok(row: dict[str, str]) -> bool:
@@ -231,13 +263,16 @@ def _row_invariant_ok(row: dict[str, str]) -> bool:
     return True
 
 
-def _existing_keys(path) -> set[tuple[str, str, str, str]]:
+def _existing_keys(path) -> set[tuple[str, ...]]:
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_FIELDS:
-            raise ValueError(f"{path}: existing CSV has a different header")
+            raise ValueError(
+                f"{path}: existing CSV has a different header (the sweep's columns"
+                " changed); set 'output' to a new file"
+            )
         return {_row_key(row) for row in reader}
 
 
@@ -255,8 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
     todo: list[tuple[int, ApSet | None]] = []
     for n in points:
         slopes = _slopes_for(cfg, n) if cfg.family in ("hB", "hprime") else None
-        b_size = str(len(slopes.elements)) if slopes is not None else ""
-        if (cfg.family, str(n), str(cfg.r), b_size) not in done:
+        if _row_key(_point_cells(cfg, n, slopes)) not in done:
             todo.append((n, slopes))
 
     write_header = not os.path.exists(cfg.output) or os.path.getsize(cfg.output) == 0

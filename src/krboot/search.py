@@ -69,26 +69,28 @@ def _confirm(result: MaxTimeResult) -> MaxTimeResult:
     return result
 
 
-def max_running_time(n: int, r: int) -> MaxTimeResult:
-    """Exact maximum running time over all 2^C(n,2) start graphs; n <= 7."""
-    if not 1 <= n <= 7:
-        raise ValueError("exhaustive search is limited to 1 <= n <= 7")
-    if r < 3:
-        raise ValueError("need r >= 3")
+def _best_of(n: int, r: int, masks, exhaustive: bool) -> MaxTimeResult:
+    """Run every start in ``masks`` (edge subsets of K_n); keep the first slowest."""
     edges = _edge_list(n)
     host_rows = list(enumerate(Graph.complete(n).adj))
-    best_time = -1
-    best_mask = 0
-    for mask in range(1 << len(edges)):
+    best_time, best_mask, examined = -1, 0, 0
+    for examined, mask in enumerate(masks, start=1):
         t = _running_time_complete_host(_adj_from_mask(mask, edges, n), host_rows, r)
         if t > best_time:
             best_time = t
             best_mask = mask
     witness = Graph(n)
     witness.adj = _adj_from_mask(best_mask, edges, n)
-    return _confirm(
-        MaxTimeResult(n, r, best_time, witness, 1 << len(edges), exhaustive=True)
-    )
+    return _confirm(MaxTimeResult(n, r, best_time, witness, examined, exhaustive))
+
+
+def max_running_time(n: int, r: int) -> MaxTimeResult:
+    """Exact maximum running time over all 2^C(n,2) start graphs; n <= 7."""
+    if not 1 <= n <= 7:
+        raise ValueError("exhaustive search is limited to 1 <= n <= 7")
+    if r < 3:
+        raise ValueError("need r >= 3")
+    return _best_of(n, r, range(1 << (n * (n - 1) // 2)), exhaustive=True)
 
 
 def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTimeResult:
@@ -99,17 +101,7 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
         raise ValueError("need r >= 3")
     if samples < 1:
         raise ValueError("need at least one sample")
-    edges = _edge_list(n)
-    host_rows = list(enumerate(Graph.complete(n).adj))
     rng = random.Random(seed)
-    best_time = -1
-    best_mask = 0
-    for _ in range(samples):
-        mask = rng.getrandbits(len(edges)) if edges else 0
-        t = _running_time_complete_host(_adj_from_mask(mask, edges, n), host_rows, r)
-        if t > best_time:
-            best_time = t
-            best_mask = mask
-    witness = Graph(n)
-    witness.adj = _adj_from_mask(best_mask, edges, n)
-    return _confirm(MaxTimeResult(n, r, best_time, witness, samples, exhaustive=False))
+    pairs = n * (n - 1) // 2
+    masks = (rng.getrandbits(pairs) for _ in range(samples))
+    return _best_of(n, r, masks, exhaustive=False)

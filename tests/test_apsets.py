@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from krboot.apsets import ApSet, ap_behrend, ap_digits3, ap_max_exhaustive
+from krboot.apsets import SOURCES, ApSet, ap_digits3, ap_max_exhaustive
 from krboot.verify import check_ap_free
 
 
@@ -62,12 +62,8 @@ def test_digits3_is_ap_free():
         assert check_ap_free(ap_digits3(n)).passed
 
 
-def test_behrend_never_worse_than_digits3():
-    for n in (9, 100, 1000, 6561):
-        b = ap_behrend(n)
-        assert len(b) >= len(ap_digits3(n))
-        assert check_ap_free(b).passed
-        assert all(1 <= e <= n for e in b.elements)
+def test_sources_table_names_both_generators():
+    assert SOURCES == {"digits3": ap_digits3, "exhaustive": ap_max_exhaustive}
 
 
 def test_exhaustive_matches_brute_force():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from krboot import fileio
 from krboot.cli import main
 from krboot.constructions import build_chain, build_h6
@@ -187,6 +189,13 @@ def test_apset_cli(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "n=9 size=5"
 
 
+def test_apset_cli_rejects_unknown_source(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("apset", "--source", "behrend", "--n", "100")
+    assert exc.value.code == 2
+    assert "invalid choice: 'behrend'" in capsys.readouterr().err
+
+
 def test_maxtime_exact_cli(tmp_path, capsys):
     wpath = tmp_path / "w.txt"
     assert run_cli("maxtime", "--n", "4", "--r", "3", "--witness-out", str(wpath)) == 0
@@ -204,6 +213,13 @@ def test_maxtime_sampled_cli(capsys):
     assert "M_4(5) >= 2 (sampled, 1024 starts)" in out
     assert run_cli("maxtime", "--n", "5", "--r", "4", "--samples", "10") == 2
     assert "--samples requires --seed" in capsys.readouterr().err
+
+
+def test_maxtime_seed_without_samples_is_usage_error(capsys):
+    assert run_cli("maxtime", "--n", "5", "--r", "3", "--seed", "4") == 2
+    captured = capsys.readouterr()
+    assert "--seed requires --samples" in captured.err
+    assert captured.out == ""
 
 
 def test_experiment_cli_runs_and_resumes(tmp_path, capsys):

@@ -265,6 +265,21 @@ def test_starting_graph_rejects_duplicate_pair():
         starting_graph(broken)
 
 
+def test_assemble_builds_the_skeleton_once(monkeypatch):
+    import krboot.constructions as constructions
+
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return two_skeleton(h)
+
+    monkeypatch.setattr(constructions, "two_skeleton", counting)
+    c = build_chain(5)
+    assert len(calls) == 1
+    assert c.start == starting_graph(c)
+
+
 def test_skeleton_field_matches_two_skeleton():
     c = build_chain(3)
     assert c.skeleton == two_skeleton(c.hypergraph)

@@ -70,6 +70,20 @@ def test_parse_config_explicit_slopes(tmp_path):
         ("family chain\nn 1 extra\noutput o.csv\n", "needs an integer"),
         ("family chain\nn 1\njunk\noutput o.csv\n", "expected 'key value'"),
         ("family chain\nn 1\nb_source magic\noutput o.csv\n", "unknown b_source"),
+        ("family chain\nn 1\nn x\noutput o.csv\n", r"sweep\.cfg:3: key 'n' needs an integer"),
+        ("family chain\nr 5\nn 1\nr 6\noutput o.csv\n", r"sweep\.cfg:4: key 'r' given more"),
+        ("output o.csv\nn 1\nfamily nope\n", r"sweep\.cfg:3: unknown family 'nope'"),
+        ("family chain\nn 1\noutput o.csv\nb_source magic\n", r"sweep\.cfg:4: unknown b_source"),
+        ("family hprime\nn 400\nb_source behrend\noutput o.csv\n",
+         r"sweep\.cfg:3: unknown b_source 'behrend'"),
+        ("family hB\nn 100\nb_source explicit\nB 10\nB 10\noutput o.csv\n",
+         r"sweep\.cfg:5: slope 10 given more than once"),
+        ("family hB\nn 100\nb_source explicit\nB 0\noutput o.csv\n",
+         r"sweep\.cfg:4: slope 0 must be positive"),
+        ("family hB\nn 100\nb_source explicit\nB 10\nB -20\noutput o.csv\n",
+         r"sweep\.cfg:5: slope -20 must be positive"),
+        ("family hb\nn 50\noutput o.csv\n", r"sweep\.cfg:1: family hb needs 'b'"),
+        ("family chain\nn 1\noutput o.csv\njobs 0\n", r"sweep\.cfg:4: jobs must be >= 1"),
     ],
 )
 def test_parse_config_rejects(tmp_path, text, msg):
@@ -188,6 +202,50 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
         return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
 
     assert strip(rows_s) == strip(rows_p)
+
+
+def test_run_experiment_reruns_a_different_slope_set(tmp_path):
+    out = tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="hB", ns=[100], r=5, output=str(out),
+                           b_source="explicit", b_explicit=[10, 20])
+    assert [r["B"] for r in run_experiment(cfg)] == ["10;20"]
+    cfg.b_explicit = [10, 30]
+    new = run_experiment(cfg)
+    assert [(r["B"], r["B_size"]) for r in new] == [("10;30", "2")]
+    assert run_experiment(cfg) == []
+    assert [r["B"] for r in read_rows(out)] == ["10;20", "10;30"]
+
+
+def test_run_experiment_reruns_a_different_step_budget(tmp_path):
+    out = tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="chain", ns=[4], r=5, output=str(out))
+    first = run_experiment(cfg)
+    assert first[0]["max_steps"] == "" and first[0]["steps"] == "4"
+    cfg.max_steps = 2
+    new = run_experiment(cfg)
+    assert [(r["max_steps"], r["steps"]) for r in new] == [("2", "2")]
+    assert run_experiment(cfg) == []
+    assert len(read_rows(out)) == 2
+
+
+def test_point_cells_leave_unused_settings_blank():
+    cfg = ExperimentConfig(family="hB", ns=[100], r=5, output="o.csv", max_steps=7)
+    row = compute_row(cfg, 100, ApSet(20, (10, 20)))
+    assert row["B"] == "10;20" and row["max_steps"] == ""  # hB never simulates
+    cfg = ExperimentConfig(family="hb", ns=[100], r=5, output="o.csv", b=10)
+    assert compute_row(cfg, 100)["B"] == "10"
+    cfg = ExperimentConfig(family="chain", ns=[3], r=5, output="o.csv")
+    row = compute_row(cfg, 3)
+    assert row["B"] == "" and row["max_steps"] == ""
+
+
+def test_run_experiment_refuses_the_old_header(tmp_path):
+    out = tmp_path / "rows.csv"
+    old = [f for f in CSV_FIELDS if f not in ("B", "max_steps")]
+    out.write_text(",".join(old) + "\n")
+    cfg = ExperimentConfig(family="chain", ns=[1], r=5, output=str(out))
+    with pytest.raises(ValueError, match="different header .*new file"):
+        run_experiment(cfg)
 
 
 def test_run_experiment_rejects_foreign_csv(tmp_path):

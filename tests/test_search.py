@@ -43,6 +43,14 @@ def test_witness_actually_attains_the_maximum():
         assert trace.running_time == res.max_time
 
 
+def test_witnesses_keep_the_first_slowest_start():
+    # ties go to the first start met: binary-counter order, or the RNG's order
+    assert max_running_time(5, 3).witness_start.adj == [10, 5, 2, 1, 0]
+    assert max_running_time(5, 4).witness_start.adj == [30, 21, 11, 5, 3]
+    res = max_running_time_sampled(6, 4, 200, seed=7)
+    assert res.witness_start.adj == [28, 24, 57, 39, 7, 12]
+
+
 def test_search_kernel_matches_engine_on_every_start():
     n = 5
     edges = _edge_list(n)
