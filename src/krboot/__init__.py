@@ -23,7 +23,6 @@ from .graphs import (
     UniformHypergraph,
     cliques_in_subset,
     cone,
-    has_clique,
     pair,
     two_skeleton,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "check_residue_lemma",
     "cliques_in_subset",
     "cone",
-    "has_clique",
     "max_running_time",
     "max_running_time_sampled",
     "minimal_percolating",

@@ -152,6 +152,8 @@ def cmd_maxtime(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = experiment.parse_config(args.config)
     if args.jobs is not None:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         cfg.jobs = args.jobs
     rows = experiment.run_experiment(cfg)
     print(f"wrote {len(rows)} new rows to {cfg.output}")

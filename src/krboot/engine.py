@@ -3,13 +3,19 @@ creates a new K_r, one simultaneous batch per step, until nothing changes.
 
 An absent edge (u, v) is eligible exactly when the common neighbourhood of u
 and v in the current graph contains an (r-2)-clique: that clique plus u, v and
-the new edge is a fresh K_r.  ``eligible`` is the one kernel that applies this
-rule; ``step_kr``, ``run`` and the start-graph search all call it.  Such a
-clique needs a common neighbour, so ``step_kr`` and ``run``'s first step scan
-only the two-hop rows of the current graph (``graphs.two_hop_rows``).  After
-each batch ``run`` scans the pairs near that batch, or falls back to the
-host's own rows when those would cost more than the host edges still missing;
-all three give the same batch.
+the new edge is a fresh K_r.  Two kernel entry points apply this rule:
+
+- ``eligible`` checks candidate rows.  ``step_kr``, ``run``'s first step, its
+  bail-out full scan and the start-graph search call it.  Such a clique needs
+  a common neighbour, so ``step_kr`` and the first step pass only the two-hop
+  rows of the current graph (``graphs.two_hop_rows``); the bail-out passes
+  the host's own rows.
+- ``eligible_after`` is the anchored step: after a batch, a newly eligible
+  pair closes a K_r through some batch edge, so it searches only around the
+  batch edges.  ``run`` takes it unless its estimated cost exceeds the host
+  edges still missing, and then falls back to the full scan.
+
+Every route gives the same batch.
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
 scratch and shares no step logic with the kernel.
 """
@@ -81,7 +87,7 @@ def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
 def eligible(
     adj: list[int], r: int, rows: Iterable[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """The step kernel: pairs (u, v) from ``rows`` whose edge would close a K_r.
+    """The row-scan kernel: pairs (u, v) from ``rows`` whose edge closes a K_r.
 
     ``rows`` yields ``(u, mask of candidate partners)`` in ascending u; partners
     v <= u and pairs already in ``adj`` are dropped here, so a host's own rows,
@@ -98,44 +104,63 @@ def eligible(
             v = base + low.bit_length() - 1
             cand ^= low
             common = au & adj[v]
-            if common and has_clique_rows(adj, common, k):
+            if common.bit_count() >= k and has_clique_rows(adj, common, k):
                 batch.append((u, v))
     return batch
 
 
-def _next_candidates(
-    current: Graph, host: Graph, batch: list[tuple[int, int]], missing: int
-) -> list[tuple[int, int]] | None:
-    """Candidate rows for ``eligible`` after ``batch`` was just applied.
+def eligible_after(
+    adj: list[int], host_adj: list[int], r: int, batch: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The anchored step: the host pairs eligible once ``batch`` is in ``adj``.
 
-    Every edge newly eligible at the next step completes a K_r through at
-    least one batch edge (u, v), so its endpoints lie in the common
-    neighbourhood of u and v, or one of them is u or v itself.  Returns the
-    host pairs near the batch as sorted ``(u, mask)`` rows, or None when
-    enumerating them would cost more than a plain full scan, whose cost is
-    ``missing``, the number of host edges not yet in ``current``.
+    ``batch`` must be the whole step just applied, so no pair outside it was
+    eligible before it, and a K_r that a pair closes now contains some batch
+    edge (u, v).  Let C = N(u) & N(v).  Either (only for r >= 4) the pair
+    (a, b) lies inside C and needs an (r-4)-clique in C & N(a) & N(b), or it
+    is (x, w) with
+    {x, y} = {u, v} and w in N(y) - N(x), and needs an (r-3)-clique in
+    C & N(w).  Returns the pairs sorted, each once.
     """
-    adj = current.adj
-    hadj = host.adj
-    # quadratic in common-neighbourhood size
+    found: set[tuple[int, int]] = set()
+    for u, v in batch:
+        c = adj[u] & adj[v]
+        if r >= 4:
+            k = r - 4
+            for a in iter_bits(c):
+                rest = c & adj[a]
+                for b in iter_bits((c & host_adj[a] & ~adj[a]) >> (a + 1)):
+                    b += a + 1
+                    if (a, b) in found:
+                        continue
+                    common = rest & adj[b]
+                    if common.bit_count() >= k and has_clique_rows(adj, common, k):
+                        found.add((a, b))
+        k = r - 3
+        for x, y in ((u, v), (v, u)):
+            for w in iter_bits(adj[y] & host_adj[x] & ~adj[x] & ~(1 << x)):
+                e = (x, w) if x < w else (w, x)
+                if e in found:
+                    continue
+                common = c & adj[w]
+                if common.bit_count() >= k and has_clique_rows(adj, common, k):
+                    found.add(e)
+    return sorted(found)
+
+
+def _anchored_is_cheaper(
+    adj: list[int], batch: list[tuple[int, int]], missing: int
+) -> bool:
+    """Cost gate for ``eligible_after``: its pair count, quadratic in the
+    common-neighbourhood sizes, against ``missing``, the host edges not yet in
+    the graph, which bounds a full scan's work."""
     est = 0
     for u, v in batch:
         c = (adj[u] & adj[v]).bit_count()
         est += c * (c - 1) // 2 + adj[u].bit_count() + adj[v].bit_count()
         if est > 2 * missing:
-            return None
-    rows: dict[int, int] = {}
-    for u, v in batch:
-        common = adj[u] & adj[v]
-        for a in iter_bits(common):
-            rows[a] = rows.get(a, 0) | (common & hadj[a])
-        for x, y in ((u, v), (v, u)):
-            near = adj[y] & hadj[x]
-            rows[x] = rows.get(x, 0) | near
-            # partners below x belong to their own row
-            for w in iter_bits(near & ~adj[x] & ((1 << x) - 1)):
-                rows[w] = rows.get(w, 0) | (1 << x)
-    return sorted(rows.items())
+            return False
+    return True
 
 
 def run(
@@ -156,14 +181,13 @@ def run(
         raise ValueError("max_steps must be non-negative")
 
     current = start.copy()
+    adj = current.adj
     missing = host.edge_count() - start.edge_count()
     steps: list[list[tuple[int, int]]] = []
-    rows: Iterable[tuple[int, int]] = two_hop_rows(current.adj, host.adj)
+    batch = eligible(adj, r, two_hop_rows(adj, host.adj))
     truncated = False
-    while True:
-        batch = eligible(current.adj, r, rows)
-        if not batch:
-            break  # stabilized; never truncated, even at the exact budget
+    # an empty batch means stabilized; never truncated, even at the exact budget
+    while batch:
         if len(steps) >= max_steps:
             truncated = True
             break
@@ -171,8 +195,10 @@ def run(
             current.add_edge(u, v)
         steps.append(batch)
         missing -= len(batch)
-        near = _next_candidates(current, host, batch, missing)
-        rows = enumerate(host.adj) if near is None else near
+        if _anchored_is_cheaper(adj, batch, missing):
+            batch = eligible_after(adj, host.adj, r, batch)
+        else:
+            batch = eligible(adj, r, enumerate(host.adj))
 
     return PercolationTrace(
         steps=steps,

@@ -286,13 +286,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
     else:
         points = list(cfg.ns)
 
-    # resolve slope sets up front so resume keys are known without rebuilding
-    todo: list[tuple[int, ApSet | None]] = []
-    for n in points:
-        slopes = _slopes_for(cfg, n) if cfg.family in ("hB", "hprime") else None
-        if _row_key(_point_cells(cfg, n, slopes)) not in done:
-            todo.append((n, slopes))
-
     write_header = not os.path.exists(cfg.output) or os.path.getsize(cfg.output) == 0
     new_rows: list[dict[str, str]] = []
     with open(cfg.output, "a", newline="") as out:
@@ -311,6 +304,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
             writer.writerow(row)
             out.flush()
             new_rows.append(row)
+
+        # slope sets are resolved before any point runs, so that resume keys
+        # are known without rebuilding; a point whose slopes fail is logged
+        todo: list[tuple[int, ApSet | None]] = []
+        for n in points:
+            try:
+                slopes = _slopes_for(cfg, n) if cfg.family in ("hB", "hprime") else None
+            except ValueError as exc:
+                emit(n, None, exc)
+                continue
+            if _row_key(_point_cells(cfg, n, slopes)) not in done:
+                todo.append((n, slopes))
 
         if cfg.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -97,10 +97,6 @@ class Graph:
         self._check_vertex(v)
         return (self.adj[u] >> v) & 1 == 1
 
-    def degree(self, u: int) -> int:
-        self._check_vertex(u)
-        return self.adj[u].bit_count()
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -112,10 +108,6 @@ class Graph:
                 low = row & -row
                 yield (u, u + low.bit_length())
                 row ^= low
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        """Bitmask of vertices adjacent to both ``u`` and ``v``."""
-        return self.adj[u] & self.adj[v]
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         if self.n != other.n:
@@ -176,16 +168,6 @@ class UniformHypergraph:
 
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def edge_masks(self) -> list[int]:
-        """Each edge as a vertex bitmask, in edge order."""
-        out = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            out.append(m)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniformHypergraph):
@@ -251,13 +233,9 @@ def cliques_in_subset(g: Graph, candidates: int, k: int) -> list[tuple[int, ...]
     return out
 
 
-def has_clique(g: Graph, candidates: int, k: int) -> bool:
-    """Early-exit test: does ``candidates`` contain a k-clique of ``g``?"""
-    return has_clique_rows(g.adj, candidates, k)
-
-
 def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:
-    """``has_clique`` on raw adjacency rows, as the step kernel holds them."""
+    """Early-exit test: does ``candidates`` hold a k-clique of the graph whose
+    adjacency rows are ``adj``?"""
     if k <= 0:
         return True
     if k == 1:

@@ -9,15 +9,9 @@ one (the final pair only in its own).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .graphs import (
-    UniformHypergraph,
-    cliques_in_subset,
-    iter_bits,
-    two_hop_rows,
-    two_skeleton,
-)
+from .graphs import Graph, UniformHypergraph, cliques_in_subset, iter_bits, two_skeleton
 
 if TYPE_CHECKING:  # pragma: no cover
     from .apsets import ApSet
@@ -38,22 +32,41 @@ class VerificationReport:
         return f"WITNESS {self.witness_kind} " + " ".join(str(x) for x in self.witness)
 
 
+def _near_cliques(skel: Graph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each k-clique Q of ``skel`` (k >= 1) with the AND of its rows, Q ascending.
+
+    Q is its least vertex x plus a (k-1)-clique of x's higher neighbours, so
+    every clique comes out once.  The AND excludes Q itself (rows hold no loops).
+    """
+    adj = skel.adj
+    for x, row in enumerate(adj):
+        for rest in cliques_in_subset(skel, row >> (x + 1) << (x + 1), k - 1):
+            common = row
+            for y in rest:
+                common &= adj[y]
+            yield (x,) + rest, common
+
+
 def check_induced_free(
     h: UniformHypergraph, r: int, verbose: bool = False
 ) -> VerificationReport:
     """Does every near-complete r-set of the 2-skeleton sit inside a hyperedge?
 
-    Sweeps vertex pairs {u, v} in ascending order; every (r-2)-clique in their
-    common skeleton neighbourhood spans, together with u and v, at least
-    C(r,2) - 1 edges and must therefore equal some hyperedge's vertex set.
-    Choosing {u, v} as the one possibly-missing pair makes this sweep catch
-    every such r-set.  Since r >= 3, a pair without a common neighbour has no
-    such clique, so only the skeleton's two-hop pairs are examined.  First
-    offender (lowest pair) becomes the witness; ``verbose`` collects them all.
+    An r-set spanning at least C(r,2) - 1 skeleton edges is an (r-2)-clique Q
+    plus a pair {u, v} from Q's common neighbourhood, with {u, v} the one
+    possibly-missing pair.  So the check enumerates each (r-2)-clique Q once
+    and takes every pair u < v of the AND of Q's rows: the candidate
+    Q + {u, v} must equal some hyperedge's vertex set.  These (u, v, Q)
+    triples are exactly those of a sweep over vertex pairs in ascending order
+    that lists each pair's common-neighbourhood cliques in lexicographic
+    order, and the report keeps that sweep's order: the witness is the
+    candidate of the least failing triple, and ``verbose`` lists every
+    failing candidate once, in the order of its least triple.
 
-    ``stats["pairs"]`` counts the pairs in lexicographic order up to where the
-    sweep stopped (all C(n, 2) on a pass), ``stats["pairs_scanned"]`` the
-    two-hop pairs among them that were examined.
+    ``stats["cliques"]`` counts the (r-2)-cliques of the skeleton and
+    ``stats["candidates"]`` the triples (on a failing non-verbose call, those
+    up to and including the witness).  ``stats["pairs"]`` counts the pairs in
+    lexicographic order up to the witness pair, all C(n, 2) otherwise.
     """
     if h.r != r:
         raise ValueError(f"hypergraph is {h.r}-uniform, expected {r}")
@@ -62,34 +75,37 @@ def check_induced_free(
     n = h.n
     skel = two_skeleton(h)
     edge_sets = set(h.edges)
-    stats = {"pairs": n * (n - 1) // 2, "pairs_scanned": 0, "candidates": 0}
-    failures: list[tuple] = []
-    first: tuple | None = None
-    for u, reach in two_hop_rows(skel.adj):
-        row = skel.adj[u]
-        for v in iter_bits(reach >> (u + 1)):
-            v += u + 1
-            stats["pairs_scanned"] += 1
-            common = row & skel.adj[v]
-            if common.bit_count() < r - 2:
-                continue
-            for clique in cliques_in_subset(skel, common, r - 2):
+    stats = {"pairs": n * (n - 1) // 2, "cliques": 0, "candidates": 0}
+    bad: list[tuple[int, int, tuple[int, ...]]] = []
+    for clique, common in _near_cliques(skel, r - 2):
+        stats["cliques"] += 1
+        for u in iter_bits(common):
+            for v in iter_bits(common >> (u + 1)):
+                v += u + 1
                 stats["candidates"] += 1
-                cand = tuple(sorted((u, v) + clique))
-                if cand not in edge_sets:
-                    if first is None:
-                        first = cand
-                    if not verbose:
-                        # (u, v) is pair number u(n-1) - C(u,2) + (v-u) in order
-                        stats["pairs"] = u * (n - 1) - u * (u - 1) // 2 + v - u
-                        return VerificationReport(
-                            False, first, "near-clique", stats, [first]
-                        )
-                    if cand not in failures:
-                        failures.append(cand)
-    if first is not None:
-        return VerificationReport(False, first, "near-clique", stats, failures)
-    return VerificationReport(True, None, None, stats)
+                if tuple(sorted(clique + (u, v))) not in edge_sets:
+                    bad.append((u, v, clique))
+    if not bad:
+        return VerificationReport(True, None, None, stats)
+    bad.sort()
+    wu, wv, wq = bad[0]
+    witness = tuple(sorted(wq + (wu, wv)))
+    if verbose:
+        failures = list(dict.fromkeys(tuple(sorted(q + (u, v))) for u, v, q in bad))
+        return VerificationReport(False, witness, "near-clique", stats, failures)
+    # (wu, wv) is pair number wu(n-1) - C(wu,2) + (wv-wu) in order
+    stats["pairs"] = wu * (n - 1) - wu * (wu - 1) // 2 + wv - wu
+    stats["candidates"] = 0
+    for clique, common in _near_cliques(skel, r - 2):
+        # triples up to (wu, wv, wq): every pair with u < wu, then (wu, v)
+        # for v < wv, and (wu, wv) itself when the clique is at most wq
+        for u in iter_bits(common & ((1 << wu) - 1)):
+            stats["candidates"] += (common >> (u + 1)).bit_count()
+        if common >> wu & 1:
+            upto = wv if clique > wq else wv + 1
+            below = common & ((1 << upto) - 1)
+            stats["candidates"] += (below >> (wu + 1)).bit_count()
+    return VerificationReport(False, witness, "near-clique", stats, [witness])
 
 
 def check_pair_condition(

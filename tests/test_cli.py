@@ -248,6 +248,16 @@ def test_experiment_cli_runs_and_resumes(tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 4
 
 
+def test_experiment_cli_rejects_jobs_below_one(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family chain\nn 1\noutput {csv_path}\n")
+    for jobs in ("-3", "0"):
+        assert run_cli("experiment", "--config", str(cfg), "--jobs", jobs) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_experiment_cli_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family chain\nn 1\nwat 3\noutput x.csv\n")

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krboot import engine
 from krboot.constructions import build_chain, minimal_percolating
-from krboot.engine import PercolationTrace, replay, run, run_oracle, step_kr
+from krboot.engine import (
+    PercolationTrace,
+    eligible,
+    eligible_after,
+    replay,
+    run,
+    run_oracle,
+    step_kr,
+)
 from krboot.graphs import Graph, cone
 
 
@@ -183,6 +194,71 @@ def test_two_hop_first_step_equals_full_scan_on_sparse_starts():
     # two triangles joined by one edge; (0, 4) has a common neighbour only after step 1
     g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
     assert run(g, 3, Graph.complete(6)).steps == full_scan_steps(g, 3, Graph.complete(6))
+
+
+@st.composite
+def hosted_starts(draw):
+    """A random host on 3..10 vertices, a start inside it and r in 3..6."""
+    n = draw(st.integers(3, 10))
+    r = draw(st.integers(3, 6))
+    p_host = draw(st.sampled_from([0.7, 0.9, 1.0]))
+    p_start = draw(st.sampled_from([0.3, 0.5, 0.7]))
+    rng = draw(st.randoms(use_true_random=False))
+    host = Graph(n)
+    start = Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p_host:
+            host.add_edge(u, v)
+            if rng.random() < p_start:
+                start.add_edge(u, v)
+    return start, r, host
+
+
+@settings(max_examples=300, deadline=None)
+@given(hosted_starts())
+def test_anchored_step_equals_full_scan_after_every_batch(instance):
+    start, r, host = instance
+    g = start.copy()
+    while batch := eligible(g.adj, r, enumerate(host.adj)):
+        for u, v in batch:
+            g.add_edge(u, v)
+        assert eligible_after(g.adj, host.adj, r, batch) == eligible(
+            g.adj, r, enumerate(host.adj)
+        )
+    assert run(start, r, host).to_json() == run_oracle(start, r, host).to_json()
+
+
+def anchored_after(edges, n, r, batch):
+    """``eligible_after`` in K_n once ``batch`` is added to ``edges``."""
+    g = Graph.from_edges(n, list(edges) + list(batch))
+    host = Graph.complete(n)
+    expected = eligible(g.adj, r, enumerate(host.adj))
+    assert eligible_after(g.adj, host.adj, r, batch) == expected
+    return expected
+
+
+def test_anchored_step_pair_inside_the_common_neighbourhood():
+    # K_5 on 0..4 without 01 and 23; 0, 1, 5, 6, 7 give the batch edge 01.
+    # Then 2 and 3 both lie in N(0) & N(1) and need the 1-clique {4}.
+    edges = [e for e in itertools.combinations(range(5), 2) if e not in ((0, 1), (2, 3))]
+    edges += [e for e in itertools.combinations((0, 1, 5, 6, 7), 2) if e != (0, 1)]
+    assert step_kr(Graph.from_edges(8, edges), 5, Graph.complete(8)) == [(0, 1)]
+    assert anchored_after(edges, 8, 5, [(0, 1)]) == [(2, 3)]
+
+
+def test_anchored_step_pair_through_a_batch_endpoint():
+    # 34 in N(0) & N(1) gives the batch edge 01.  Then 5, a neighbour of 1
+    # but not of 0, needs the 1-clique {2} in N(0) & N(1) & N(5).
+    edges = [(0, 2), (1, 2), (2, 5), (1, 5), (0, 3), (1, 3), (0, 4), (1, 4), (3, 4)]
+    assert step_kr(Graph.from_edges(6, edges), 4, Graph.complete(6)) == [(0, 1)]
+    assert anchored_after(edges, 6, 4, [(0, 1)]) == [(0, 5), (2, 3), (2, 4)]
+
+
+def test_anchored_step_for_triangles():
+    # r = 3: no pair fits inside one common neighbourhood, every new edge
+    # runs from a batch endpoint along the other endpoint's edges
+    path = [(0, 1), (1, 2), (2, 3)]
+    assert anchored_after(path, 4, 3, [(0, 2), (1, 3)]) == [(0, 3)]
 
 
 def test_run_does_not_recount_edges_per_step(monkeypatch):

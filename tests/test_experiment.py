@@ -190,6 +190,16 @@ def test_run_experiment_logs_errors_and_continues(tmp_path):
     assert "point n=5" in log
 
 
+def test_run_experiment_logs_a_point_without_slopes(tmp_path):
+    out = tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="hprime", ns=[30, 400], r=5, output=str(out))
+    new = run_experiment(cfg)
+    assert [r["n"] for r in new] == ["400"]  # n=30 has no digits3 slopes
+    assert [r["n"] for r in read_rows(out)] == ["400"]
+    log = (out.parent / (out.name + ".errors.log")).read_text()
+    assert log == "point n=30: n=30 too small to generate slopes (need n >= 40)\n"
+
+
 def test_run_experiment_parallel_matches_serial(tmp_path):
     serial = ExperimentConfig(family="chain", ns=[1, 2, 3, 4], r=5,
                               output=str(tmp_path / "serial.csv"))

@@ -52,6 +52,19 @@ def all_pairs_sweep(h: UniformHypergraph, r: int, verbose: bool):
     return not failures, witness, failures, candidates, pairs
 
 
+def clique_count(h: UniformHypergraph, k: int) -> int:
+    """Reference: number of k-cliques of the 2-skeleton, by brute force over
+    the (k-1)-subsets of each vertex's higher neighbours."""
+    skel = two_skeleton(h)
+    return sum(
+        all(skel.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
+        for x in range(h.n)
+        for sub in itertools.combinations(
+            [y for y in range(x + 1, h.n) if skel.has_edge(x, y)], k - 1
+        )
+    )
+
+
 def random_hypergraphs(seed: int, count: int):
     rng = random.Random(seed)
     for _ in range(count):
@@ -120,7 +133,7 @@ def test_induced_free_equals_all_pairs_sweep():
             assert rep.stats["candidates"] == candidates
             if not verbose:
                 assert rep.stats["pairs"] == pairs
-            assert rep.stats["pairs_scanned"] <= rep.stats["pairs"]
+            assert rep.stats["cliques"] == clique_count(h, r - 2)
         failing += not rep.passed
     assert failing >= 10
 
@@ -132,11 +145,11 @@ def test_induced_free_pairs_count_up_to_the_witness():
     assert rep.stats["pairs"] == 5 == all_pairs_sweep(OVERLAP3, 5, False)[4]
     full = check_induced_free(OVERLAP3, 5, verbose=True)
     assert full.stats["pairs"] == 21
-    # 2, 3 and 4 see every vertex, so every pair has a common neighbour
-    assert full.stats["pairs_scanned"] == 21
-    # isolated vertex 7 adds 7 pairs to the sweep but none to the scan
+    # two K_5 sharing the triangle 234 hold 10 + 10 - 1 triangles
+    assert full.stats["cliques"] == 19 == clique_count(OVERLAP3, 3)
+    # isolated vertex 7 adds 7 pairs to the sweep but no clique
     iso = check_induced_free(UniformHypergraph(8, 5, OVERLAP3.edges), 5, verbose=True)
-    assert iso.stats["pairs"] == 28 and iso.stats["pairs_scanned"] == 21
+    assert iso.stats["pairs"] == 28 and iso.stats["cliques"] == full.stats["cliques"]
 
 
 def test_pair_condition_passes_on_builders():
@@ -207,7 +220,7 @@ def test_verify_construction_merges_both_checks():
     assert rep.passed
     assert rep.stats["cond_i"] == 1 and rep.stats["cond_ii"] == 1
     assert rep.stats["cond_i_pairs"] > 0 and rep.stats["cond_ii_pairs"] == 3
-    assert 0 < rep.stats["cond_i_pairs_scanned"] <= rep.stats["cond_i_pairs"]
+    assert 0 < rep.stats["cond_i_cliques"]
 
 
 def test_verify_construction_reports_first_failing_condition():
