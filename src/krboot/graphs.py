@@ -23,23 +23,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def two_hop_rows(
-    adj: list[int], limit: list[int] | None = None
-) -> Iterator[tuple[int, int]]:
+def two_hop_rows(adj: list[int], limit: list[int]) -> Iterator[tuple[int, int]]:
     """Yield ``(u, reach)`` in ascending u, where ``reach`` holds every vertex
-    sharing a neighbour with u, cut down to ``limit[u]`` when given.
+    sharing a neighbour with u, cut down to ``limit[u]``.
 
     ``reach`` may contain u itself and vertices below it; rows with no
     partner above u are skipped.  For r >= 3, a pair without a common
     neighbour has no (r-2)-clique in its common neighbourhood, so these rows
-    hold every pair the step kernel or the cond (i) sweep can act on.
+    hold every pair the step kernel can act on.
     """
     for u, au in enumerate(adj):
         reach = 0
         for w in iter_bits(au):
             reach |= adj[w]
-        if limit is not None:
-            reach &= limit[u]
+        reach &= limit[u]
         if reach >> (u + 1):
             yield u, reach
 
