@@ -95,21 +95,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _finish_verify(report) -> int:
+def _finish_verify(report, verbose: bool = False) -> int:
     for key in sorted(report.stats):
         print(f"{key}={report.stats[key]}")
     if report.passed:
         print("PASS")
         return 0
     print("FAIL")
-    print(report.witness_line())
+    # a verbose report lists every offender, the witness first
+    for ids in report.failures if verbose else [report.witness]:
+        print(f"WITNESS {report.witness_kind} " + " ".join(str(x) for x in ids))
     return 1
 
 
 def cmd_verify(args) -> int:
     if args.check == "induced-free":
         h = fileio.read_hypergraph(args.hypergraph)
-        return _finish_verify(verify.check_induced_free(h, args.r, verbose=args.verbose))
+        report = verify.check_induced_free(h, args.r, verbose=args.verbose)
+        return _finish_verify(report, args.verbose)
     if args.check == "pairs":
         h = fileio.read_hypergraph(args.hypergraph)
         pairs = fileio.read_fpairs(args.fpairs)

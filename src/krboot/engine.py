@@ -5,11 +5,11 @@ An absent edge (u, v) is eligible exactly when the common neighbourhood of u
 and v in the current graph contains an (r-2)-clique: that clique plus u, v and
 the new edge is a fresh K_r.  Two kernel entry points apply this rule:
 
-- ``eligible`` checks candidate rows.  ``step_kr``, ``run``'s first step, its
-  bail-out full scan and the start-graph search call it.  Such a clique needs
-  a common neighbour, so ``step_kr`` and the first step pass only the two-hop
-  rows of the current graph (``graphs.two_hop_rows``); the bail-out passes
-  the host's own rows.
+- ``eligible`` checks candidate rows.  ``step_kr``, ``run``'s first step and
+  its bail-out full scan take them from ``graphs.partner_rows``: each vertex's
+  non-adjacent host partners above it, cut to those with at least r-2 common
+  neighbours when that cut is cheaper than the pairs it removes.  The
+  start-graph search passes the complete host's rows, built once per search.
 - ``eligible_after`` is the anchored step: after a batch, a newly eligible
   pair closes a K_r through some batch edge, so it searches only around the
   batch edges.  ``run`` takes it unless its estimated cost exceeds the host
@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import Graph, has_clique_rows, iter_bits, two_hop_rows
+from .graphs import Graph, has_clique_rows, iter_bits, partner_rows
 
 
 @dataclass
@@ -52,7 +52,7 @@ class PercolationTrace:
             "percolated": self.percolated,
             "truncated": self.truncated,
             "final_edge_count": self.final_edge_count,
-            "steps": [[[u, v] for u, v in batch] for batch in self.steps],
+            "steps": self.steps,
         }
         return json.dumps(obj)
 
@@ -81,7 +81,7 @@ def _check_inputs(current: Graph, r: int, host: Graph) -> None:
 def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
     """One synchronous step: all host edges whose insertion creates a new K_r."""
     _check_inputs(current, r, host)
-    return eligible(current.adj, r, two_hop_rows(current.adj, host.adj))
+    return eligible(current.adj, r, partner_rows(current.adj, host.adj, r - 2))
 
 
 def eligible(
@@ -89,9 +89,12 @@ def eligible(
 ) -> list[tuple[int, int]]:
     """The row-scan kernel: pairs (u, v) from ``rows`` whose edge closes a K_r.
 
-    ``rows`` yields ``(u, mask of candidate partners)`` in ascending u; partners
-    v <= u and pairs already in ``adj`` are dropped here, so a host's own rows,
-    ``enumerate(host.adj)``, are a full scan.  The batch comes out sorted.
+    ``rows`` yields ``(u, mask of candidate partners)`` in ascending u, from
+    ``graphs.partner_rows`` or from a host's own rows, ``enumerate(host.adj)``,
+    which are a full scan.  Partners v <= u and pairs already in ``adj`` are
+    dropped here, and each pair needs r-2 common neighbours, so a mask may
+    hold more than the eligible partners but must hold all of them.  The
+    batch comes out sorted.
     """
     k = r - 2
     batch: list[tuple[int, int]] = []
@@ -184,21 +187,23 @@ def run(
     adj = current.adj
     missing = host.edge_count() - start.edge_count()
     steps: list[list[tuple[int, int]]] = []
-    batch = eligible(adj, r, two_hop_rows(adj, host.adj))
+    batch = eligible(adj, r, partner_rows(adj, host.adj, r - 2))
     truncated = False
     # an empty batch means stabilized; never truncated, even at the exact budget
     while batch:
         if len(steps) >= max_steps:
             truncated = True
             break
+        # kernel pairs are host pairs with u < v, and the start lies in the host
         for u, v in batch:
-            current.add_edge(u, v)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         steps.append(batch)
         missing -= len(batch)
         if _anchored_is_cheaper(adj, batch, missing):
             batch = eligible_after(adj, host.adj, r, batch)
         else:
-            batch = eligible(adj, r, enumerate(host.adj))
+            batch = eligible(adj, r, partner_rows(adj, host.adj, r - 2))
 
     return PercolationTrace(
         steps=steps,

@@ -156,6 +156,17 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"{at('family')}: family cone-of needs 'input'")
     if cfg.jobs < 1:
         raise ValueError(f"{at('jobs')}: jobs must be >= 1")
+    unread = [
+        ("b", family != "hb", "family hb"),
+        ("b_source", family not in ("hB", "hprime"), "families hB and hprime"),
+        ("B", b_source != "explicit", "b_source explicit"),
+        ("input", family != "cone-of", "family cone-of"),
+        ("max_steps", family not in SIMULATED, "families that simulate"),
+    ]
+    found = [(pairs[key][0][0], key, who) for key, off, who in unread if off and key in pairs]
+    if found:
+        lineno, key, who = min(found)
+        raise ValueError(f"{path}:{lineno}: key {key!r} is only read by {who}")
     return cfg
 
 

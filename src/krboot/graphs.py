@@ -23,22 +23,34 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def two_hop_rows(adj: list[int], limit: list[int]) -> Iterator[tuple[int, int]]:
-    """Yield ``(u, reach)`` in ascending u, where ``reach`` holds every vertex
-    sharing a neighbour with u, cut down to ``limit[u]``.
+def partner_rows(adj: list[int], limit: list[int], k: int) -> Iterator[tuple[int, int]]:
+    """Yield ``(u, mask)`` in ascending u: the partners v > u in ``limit[u]``
+    that are not adjacent to u.  Rows with an empty mask are skipped.
 
-    ``reach`` may contain u itself and vertices below it; rows with no
-    partner above u are skipped.  For r >= 3, a pair without a common
-    neighbour has no (r-2)-clique in its common neighbourhood, so these rows
-    hold every pair the step kernel can act on.
+    A pair whose common neighbourhood holds a k-clique has at least k common
+    neighbours.  When u's k neighbour rows cost less than its partners
+    (``deg(u) * k < |mask|``), the mask is cut to the vertices that share at
+    least k neighbours with u, counted in k bit-sliced saturating levels:
+    ``levels[j]`` holds the vertices seen in more than j of u's neighbour
+    rows.  Otherwise the mask stays whole, a superset the kernel's own
+    common-neighbour count still decides.
     """
     for u, au in enumerate(adj):
-        reach = 0
-        for w in iter_bits(au):
-            reach |= adj[w]
-        reach &= limit[u]
-        if reach >> (u + 1):
-            yield u, reach
+        base = u + 1
+        mask = (limit[u] & ~au) >> base << base
+        if not mask:
+            continue
+        if au.bit_count() * k < mask.bit_count():
+            levels = [0] * k
+            for w in iter_bits(au):
+                aw = adj[w]
+                for j in range(k - 1, 0, -1):
+                    levels[j] |= levels[j - 1] & aw
+                levels[0] |= aw
+            mask &= levels[-1]
+            if not mask:
+                continue
+        yield u, mask
 
 
 class Graph:
@@ -243,6 +255,9 @@ def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:
         v = low.bit_length() - 1
         mask ^= low
         rest = mask & adj[v]
-        if rest.bit_count() >= k - 1 and has_clique_rows(adj, rest, k - 1):
+        if k == 2:
+            if rest:
+                return True
+        elif rest.bit_count() >= k - 1 and has_clique_rows(adj, rest, k - 1):
             return True
     return False

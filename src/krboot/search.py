@@ -3,7 +3,10 @@
 The exhaustive scan walks every subset of K_n's edges in binary-counter order
 (lexicographic edge list), so ties resolve to the first witness encountered.
 Each start graph runs through the engine's step kernel, ``engine.eligible``,
-without building a trace.  Each reported maximum is re-run through
+without building a trace.  Unlike ``engine.run``, which takes its rows from
+``graphs.partner_rows``, the search hands the kernel the complete host's own
+rows, built once per search: on graphs this small, pruning the rows costs
+more than the pairs it saves.  Each reported maximum is re-run through
 ``engine.run`` as a confirmation before being returned.
 """
 from __future__ import annotations

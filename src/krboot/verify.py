@@ -26,11 +26,6 @@ class VerificationReport:
     stats: dict[str, int] = field(default_factory=dict)
     failures: list[tuple] = field(default_factory=list)  # filled in verbose mode
 
-    def witness_line(self) -> str | None:
-        if self.witness is None:
-            return None
-        return f"WITNESS {self.witness_kind} " + " ".join(str(x) for x in self.witness)
-
 
 def _near_cliques(skel: Graph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each k-clique Q of ``skel`` (k >= 1) with the AND of its rows, Q ascending.

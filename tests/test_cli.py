@@ -148,6 +148,18 @@ def test_verify_induced_free_pass_and_fail(tmp_path, capsys):
     skel = two_skeleton(h)
     spanned = sum(skel.has_edge(a, b) for a, b in itertools.combinations(ids, 2))
     assert spanned >= 9 and tuple(ids) not in set(h.edges)
+    assert out.splitlines()[-1] == "WITNESS near-clique 0 2 3 4 5"
+
+    # verbose lists every offender, the witness first
+    argv = ("verify", "induced-free", "--hypergraph", str(bad), "--r", "5", "--verbose")
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "FAIL",
+        "WITNESS near-clique 0 2 3 4 5",
+        "WITNESS near-clique 0 2 3 4 6",
+        "WITNESS near-clique 1 2 3 4 5",
+        "WITNESS near-clique 1 2 3 4 6",
+    ]
 
 
 def test_verify_pairs_cli(tmp_path, capsys):

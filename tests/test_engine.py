@@ -18,7 +18,7 @@ from krboot.engine import (
     run_oracle,
     step_kr,
 )
-from krboot.graphs import Graph, cone
+from krboot.graphs import Graph, cone, iter_bits, partner_rows
 
 
 def random_instance(rng: random.Random):
@@ -197,6 +197,46 @@ def test_two_hop_first_step_equals_full_scan_on_sparse_starts():
 
 
 @st.composite
+def partner_instances(draw):
+    """A graph on 1..40 vertices from sparse to nearly complete, random
+    ``limit`` rows, a host holding the graph, and k in 1..4."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([0.03, 0.1, 0.3, 0.6, 0.9, 0.98]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # cheaper than st.randoms
+    g, host = Graph(n), Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            g.add_edge(u, v)
+        if g.has_edge(u, v) or rng.random() < 0.8:
+            host.add_edge(u, v)
+    limit = [rng.getrandbits(n) for _ in range(n)]
+    return g.adj, limit, host, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(partner_instances())
+def test_partner_rows_hold_every_pair_with_k_common_neighbours(instance):
+    adj, limit, host, k = instance
+    rows = list(partner_rows(adj, limit, k))
+    assert [u for u, _ in rows] == sorted({u for u, _ in rows})
+    masks = dict(rows)
+    for u, au in enumerate(adj):
+        partners = (limit[u] & ~au) >> (u + 1) << (u + 1)
+        shared = sum(1 << v for v in iter_bits(partners) if (au & adj[v]).bit_count() >= k)
+        mask = masks.get(u, 0)
+        assert mask & ~partners == 0  # above u, inside limit[u], outside N(u)
+        assert shared & ~mask == 0
+        if au.bit_count() * k < partners.bit_count():
+            assert mask == shared
+        else:
+            assert mask == partners
+    assert eligible(adj, k + 2, partner_rows(adj, host.adj, k)) == eligible(
+        adj, k + 2, enumerate(host.adj)
+    )
+
+
+@st.composite
 def hosted_starts(draw):
     """A random host on 3..10 vertices, a start inside it and r in 3..6."""
     n = draw(st.integers(3, 10))
@@ -308,6 +348,20 @@ def test_cone_lifts_process_batch_for_batch():
         base = run(g, r, host)
         lifted = run(cone(g), r + 1, Graph.complete(g.n + 1))
         assert lifted.steps == base.steps
+
+
+def test_trace_json_bytes_are_pinned():
+    t = PercolationTrace(
+        steps=[[(0, 2), (1, 3)], [(0, 3)]],
+        running_time=2,
+        percolated=True,
+        truncated=False,
+        final_edge_count=6,
+    )
+    assert t.to_json() == (
+        '{"running_time": 2, "percolated": true, "truncated": false, '
+        '"final_edge_count": 6, "steps": [[[0, 2], [1, 3]], [[0, 3]]]}'
+    )
 
 
 def test_trace_json_round_trip():

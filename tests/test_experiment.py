@@ -84,6 +84,16 @@ def test_parse_config_explicit_slopes(tmp_path):
          r"sweep\.cfg:5: slope -20 must be positive"),
         ("family hb\nn 50\noutput o.csv\n", r"sweep\.cfg:1: family hb needs 'b'"),
         ("family chain\nn 1\noutput o.csv\njobs 0\n", r"sweep\.cfg:4: jobs must be >= 1"),
+        ("family chain\nn 1\nb_source digits3\nB 10\nb 4\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'b_source' is only read by families hB and hprime"),
+        ("family hprime\nn 400\nb 4\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'b' is only read by family hb"),
+        ("family hprime\nn 400\nB 10\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'B' is only read by b_source explicit"),
+        ("family chain\nn 1\ninput x.txt\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'input' is only read by family cone-of"),
+        ("family hB\nn 100\nmax_steps 5\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'max_steps' is only read by families that simulate"),
     ],
 )
 def test_parse_config_rejects(tmp_path, text, msg):
