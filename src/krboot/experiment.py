@@ -2,8 +2,8 @@
 
 Config lines are ``key value`` pairs; ``#`` starts a comment and repeating a
 key builds a list (``n 10`` / ``n 20``).  Existing output rows are detected by
-their (family, n, r, B, max_steps) key and skipped, so interrupted sweeps
-resume.
+their (family, n, r, B, max_steps, input) key and skipped, so interrupted
+sweeps resume.
 Per-point failures and violated row invariants go to ``<output>.errors.log``
 while the sweep keeps going.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ CSV_FIELDS = [
     "B_size",
     "B",
     "max_steps",
+    "input",
     "vertices",
     "start_edges",
     "m",
@@ -184,8 +186,9 @@ def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet:
 def _point_cells(cfg: ExperimentConfig, n: int, slopes: ApSet | None) -> dict[str, str]:
     """The cells that say which computation a row is; blank when not applicable.
 
-    ``B`` lists the slopes handed to the builder (``b`` for hb) and
-    ``max_steps`` the engine budget for families that simulate.
+    ``B`` lists the slopes handed to the builder (``b`` for hb),
+    ``max_steps`` the engine budget for families that simulate, and ``input``
+    the sha256 of the cone-of input file's bytes.
     """
     if slopes is not None:
         b_cell = ";".join(map(str, slopes.elements))
@@ -199,7 +202,13 @@ def _point_cells(cfg: ExperimentConfig, n: int, slopes: ApSet | None) -> dict[st
         "B_size": str(len(slopes.elements)) if slopes is not None else "",
         "B": b_cell,
         "max_steps": str(cfg.max_steps) if simulated_budget else "",
+        "input": _file_sha256(cfg.input) if cfg.family == "cone-of" else "",
     }
+
+
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def compute_row(
@@ -265,7 +274,7 @@ def compute_row(
 
 
 def _row_key(row: dict[str, str]) -> tuple[str, ...]:
-    return (row["family"], row["n"], row["r"], row["B"], row["max_steps"])
+    return (row["family"], row["n"], row["r"], row["B"], row["max_steps"], row["input"])
 
 
 def _row_invariant_ok(row: dict[str, str]) -> bool:

@@ -1,35 +1,103 @@
 """Longest-running start graphs inside a complete host, by exhaustion or sampling.
 
-The exhaustive scan walks every subset of K_n's edges in binary-counter order
-(lexicographic edge list), so ties resolve to the first witness encountered.
-Each start graph runs through the engine's step kernel, ``engine.eligible``,
+A start graph is a mask over K_n's lexicographic edge list.  ``_row_builder``
+turns a mask into adjacency rows with one lookup per byte of the mask, in
+per-byte tables of the edge list (for n <= 16; edge by edge past that).
+Every start runs through the engine's step kernel, ``engine.eligible``,
 without building a trace.  Unlike ``engine.run``, which takes its rows from
 ``graphs.partner_rows``, the search hands the kernel the complete host's own
 rows, built once per search: on graphs this small, pruning the rows costs
-more than the pairs it saves.  Each reported maximum is re-run through
+more than the pairs it saves.
+
+In the complete host one step takes a start ``mask`` to ``mask | batch``, a
+strictly larger edge subset and so itself a start with a larger mask.  Its
+running time is 0 when the batch is empty and one more than its successor's
+otherwise.  The exhaustive search therefore fills a table of running times
+over all 2^C(n,2) starts from the complete graph down, with one kernel scan
+and one table lookup per start, and then keeps the first slowest start in
+binary-counter order.  The sampled search walks each start to stabilization
+instead and keeps no memo: its random starts and their successors almost
+never repeat, so a memo would cost memory and save no scans.  Ties resolve to
+the first slowest start met.  Each reported maximum is re-run through
 ``engine.run`` as a confirmation before being returned.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import or_
+from typing import Callable, Iterable, Iterator
 
 from . import engine
 from .graphs import Graph
 
+# bytes of edge mask up to which starts get their rows from lookup tables
+_MAX_TABLES = 16
+
 
 @dataclass
 class MaxTimeResult:
+    """``kernel_scans`` counts the ``engine.eligible`` calls the search made."""
+
     n: int
     r: int
     max_time: int
     witness_start: Graph
     graphs_examined: int
     exhaustive: bool
+    kernel_scans: int
 
 
 def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def _row_builder(n: int) -> Callable[[int], list[int]]:
+    """The adjacency rows of an edge mask of K_n, from per-byte lookup tables.
+
+    ``tables[j][b]`` holds the rows of the edges whose bits in byte j of the
+    mask are b, so a mask over C(n,2) edges costs ceil(C(n,2)/8) lookups.
+    The tables hold 256 * n rows per byte, O(n^3) in all, and each lookup
+    ORs n rows, so past ``_MAX_TABLES`` bytes (n > 16) the rows are built
+    edge by edge instead.  At n = 30 the tables would take 5 MB, and the
+    edge loop is already the faster of the two.
+    """
+    edges = _edge_list(n)
+    if len(edges) > 8 * _MAX_TABLES:
+
+        def rows_by_edge(mask: int) -> list[int]:
+            adj = [0] * n
+            while mask:
+                low = mask & -mask
+                u, v = edges[low.bit_length() - 1]
+                mask ^= low
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return adj
+
+        return rows_by_edge
+    tables = []
+    for lo in range(0, len(edges) or 1, 8):
+        byte_edges = edges[lo : lo + 8]
+        table = []
+        for b in range(1 << len(byte_edges)):
+            rows = [0] * n
+            for i, (u, v) in enumerate(byte_edges):
+                if b >> i & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+            table.append(tuple(rows))
+        tables.append(table)
+    first, *rest = tables
+
+    def rows_of(mask: int) -> list[int]:
+        rows = first[mask & 255]
+        for table in rest:
+            mask >>= 8
+            rows = map(or_, rows, table[mask & 255])
+        return list(rows)
+
+    return rows_of
 
 
 def _running_time_complete_host(
@@ -38,9 +106,10 @@ def _running_time_complete_host(
     """Steps to stabilization for the K_r process from the rows ``adj``.
 
     ``host_rows`` is ``list(enumerate(host.adj))``, the kernel's full-scan
-    rows, built once per search.  Mutates ``adj``.  Shares the engine's step
-    kernel and skips only the trace bookkeeping; witnesses are re-validated
-    with ``engine.run`` afterwards.
+    rows, built once per search.  Mutates ``adj``, and makes one kernel scan
+    more than the steps it returns.  Shares the engine's step kernel and
+    skips only the trace bookkeeping; witnesses are re-validated with
+    ``engine.run`` afterwards.
     """
     t = 0
     while batch := engine.eligible(adj, r, host_rows):
@@ -51,40 +120,53 @@ def _running_time_complete_host(
     return t
 
 
-def _adj_from_mask(mask: int, edges: list[tuple[int, int]], n: int) -> list[int]:
-    adj = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        u, v = edges[low.bit_length() - 1]
-        m ^= low
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def _time_table(n: int, r: int) -> tuple[bytearray, int]:
+    """Running time of every start in K_n, indexed by edge mask, and the
+    number of kernel scans made to fill it.
 
-
-def _confirm(result: MaxTimeResult) -> MaxTimeResult:
-    trace = engine.run(result.witness_start, result.r, Graph.complete(result.n))
-    if trace.truncated or trace.running_time != result.max_time:
-        raise AssertionError(
-            f"engine replay got {trace.running_time}, search said {result.max_time}"
-        )
-    return result
-
-
-def _best_of(n: int, r: int, masks, exhaustive: bool) -> MaxTimeResult:
-    """Run every start in ``masks`` (edge subsets of K_n); keep the first slowest."""
-    edges = _edge_list(n)
+    Starts are filled in descending mask order, so each successor
+    ``mask | batch`` is already in the table.
+    """
+    rows_of = _row_builder(n)
     host_rows = list(enumerate(Graph.complete(n).adj))
+    edges = _edge_list(n)
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        bit[u][v] = 1 << i
+    times = bytearray(1 << len(edges))
+    scans = 0
+    for mask in range(len(times) - 1, -1, -1):
+        scans += 1
+        if batch := engine.eligible(rows_of(mask), r, host_rows):
+            succ = mask
+            for u, v in batch:
+                succ |= bit[u][v]
+            times[mask] = times[succ] + 1
+    return times, scans
+
+
+def _best_of(timed: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """The first slowest of ``timed``, (mask, running time) pairs, as
+    (time, mask, number of starts examined)."""
     best_time, best_mask, examined = -1, 0, 0
-    for examined, mask in enumerate(masks, start=1):
-        t = _running_time_complete_host(_adj_from_mask(mask, edges, n), host_rows, r)
+    for examined, (mask, t) in enumerate(timed, start=1):
         if t > best_time:
             best_time = t
             best_mask = mask
-    witness = Graph(n)
-    witness.adj = _adj_from_mask(best_mask, edges, n)
-    return _confirm(MaxTimeResult(n, r, best_time, witness, examined, exhaustive))
+    return best_time, best_mask, examined
+
+
+def _confirm(
+    n: int, r: int, best: tuple[int, int, int], kernel_scans: int, exhaustive: bool
+) -> MaxTimeResult:
+    """Replay the witness through ``engine.run``, built from the edge list
+    rather than the row tables."""
+    best_time, best_mask, examined = best
+    witness = Graph.from_edges(n, (e for i, e in enumerate(_edge_list(n)) if best_mask >> i & 1))
+    trace = engine.run(witness, r, Graph.complete(n))
+    if trace.truncated or trace.running_time != best_time:
+        raise AssertionError(f"engine replay got {trace.running_time}, search said {best_time}")
+    return MaxTimeResult(n, r, best_time, witness, examined, exhaustive, kernel_scans)
 
 
 def max_running_time(n: int, r: int) -> MaxTimeResult:
@@ -93,7 +175,8 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
         raise ValueError("exhaustive search is limited to 1 <= n <= 7")
     if r < 3:
         raise ValueError("need r >= 3")
-    return _best_of(n, r, range(1 << (n * (n - 1) // 2)), exhaustive=True)
+    times, scans = _time_table(n, r)
+    return _confirm(n, r, _best_of(enumerate(times)), scans, exhaustive=True)
 
 
 def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTimeResult:
@@ -106,5 +189,17 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     pairs = n * (n - 1) // 2
-    masks = (rng.getrandbits(pairs) for _ in range(samples))
-    return _best_of(n, r, masks, exhaustive=False)
+    rows_of = _row_builder(n)
+    host_rows = list(enumerate(Graph.complete(n).adj))
+    scans = 0
+
+    def timed() -> Iterator[tuple[int, int]]:
+        nonlocal scans
+        for _ in range(samples):
+            mask = rng.getrandbits(pairs)
+            t = _running_time_complete_host(rows_of(mask), host_rows, r)
+            scans += t + 1
+            yield mask, t
+
+    best = _best_of(timed())
+    return _confirm(n, r, best, scans, exhaustive=False)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 
 import pytest
 
@@ -16,6 +17,7 @@ from krboot.experiment import (
     parse_config,
     run_experiment,
 )
+from krboot.graphs import Graph
 
 
 def write_cfg(tmp_path, text):
@@ -248,6 +250,24 @@ def test_run_experiment_reruns_a_different_step_budget(tmp_path):
     assert len(read_rows(out)) == 2
 
 
+def test_run_experiment_reruns_a_different_cone_input(tmp_path):
+    # two different graphs on 6 vertices: same (family, n, r, B, max_steps)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    fileio.write_graph(minimal_percolating(6, 4), a)
+    fileio.write_graph(Graph.from_edges(6, [(0, 1), (1, 2), (2, 0)]), b)
+    out = tmp_path / "out.csv"
+    cfg = ExperimentConfig(family="cone-of", ns=[], r=4, output=str(out), input=str(a))
+    assert len(run_experiment(cfg)) == 1
+    cfg.input = str(b)
+    new = run_experiment(cfg)
+    assert len(new) == 1
+    assert new[0]["input"] == hashlib.sha256(b.read_bytes()).hexdigest()
+    assert run_experiment(cfg) == []
+    rows = read_rows(out)
+    assert [r["n"] for r in rows] == ["6", "6"]
+    assert rows[0]["input"] == hashlib.sha256(a.read_bytes()).hexdigest()
+
+
 def test_point_cells_leave_unused_settings_blank():
     cfg = ExperimentConfig(family="hB", ns=[100], r=5, output="o.csv", max_steps=7)
     row = compute_row(cfg, 100, ApSet(20, (10, 20)))
@@ -256,13 +276,21 @@ def test_point_cells_leave_unused_settings_blank():
     assert compute_row(cfg, 100)["B"] == "10"
     cfg = ExperimentConfig(family="chain", ns=[3], r=5, output="o.csv")
     row = compute_row(cfg, 3)
-    assert row["B"] == "" and row["max_steps"] == ""
+    assert row["B"] == "" and row["max_steps"] == "" and row["input"] == ""
 
 
 def test_run_experiment_refuses_the_old_header(tmp_path):
     out = tmp_path / "rows.csv"
     old = [f for f in CSV_FIELDS if f not in ("B", "max_steps")]
     out.write_text(",".join(old) + "\n")
+    cfg = ExperimentConfig(family="chain", ns=[1], r=5, output=str(out))
+    with pytest.raises(ValueError, match="different header .*new file"):
+        run_experiment(cfg)
+
+
+def test_run_experiment_refuses_the_header_without_input(tmp_path):
+    out = tmp_path / "rows.csv"
+    out.write_text(",".join(f for f in CSV_FIELDS if f != "input") + "\n")
     cfg = ExperimentConfig(family="chain", ns=[1], r=5, output=str(out))
     with pytest.raises(ValueError, match="different header .*new file"):
         run_experiment(cfg)
