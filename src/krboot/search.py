@@ -2,7 +2,7 @@
 
 A start graph is a mask over K_n's lexicographic edge list.  ``_row_builder``
 turns a mask into adjacency rows with one lookup per byte of the mask, in
-per-byte tables of the edge list (for n <= 16; edge by edge past that).
+per-byte tables of the edge list (for n <= 21; edge by edge past that).
 Every start runs through the engine's step kernel, ``engine.eligible``,
 without building a trace.  Unlike ``engine.run``, which takes its rows from
 ``graphs.partner_rows``, the search hands the kernel the complete host's own
@@ -17,8 +17,8 @@ over all 2^C(n,2) starts from the complete graph down, with one kernel scan
 and one table lookup per start, and then keeps the first slowest start in
 binary-counter order.  The sampled search walks each start to stabilization
 instead and keeps no memo: its random starts and their successors almost
-never repeat, so a memo would cost memory and save no scans.  Ties resolve to
-the first slowest start met.  Each reported maximum is re-run through
+never repeat, so a memo would cost memory and save no scans; its ties go to
+the first slowest start drawn.  Each reported maximum is re-run through
 ``engine.run`` as a confirmation before being returned.
 """
 from __future__ import annotations
@@ -26,13 +26,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from . import engine
 from .graphs import Graph
 
-# bytes of edge mask up to which starts get their rows from lookup tables
-_MAX_TABLES = 16
+# largest n whose starts get their rows from lookup tables: the measured
+# crossover, past which building the rows edge by edge is as fast or faster
+_MAX_TABLE_N = 21
 
 
 @dataclass
@@ -58,12 +59,12 @@ def _row_builder(n: int) -> Callable[[int], list[int]]:
     ``tables[j][b]`` holds the rows of the edges whose bits in byte j of the
     mask are b, so a mask over C(n,2) edges costs ceil(C(n,2)/8) lookups.
     The tables hold 256 * n rows per byte, O(n^3) in all, and each lookup
-    ORs n rows, so past ``_MAX_TABLES`` bytes (n > 16) the rows are built
-    edge by edge instead.  At n = 30 the tables would take 5 MB, and the
-    edge loop is already the faster of the two.
+    ORs n rows, so past ``_MAX_TABLE_N`` the rows are built edge by edge
+    instead, in O(n) memory: from n = 22 on that is as fast per start, and
+    at n = 50 the tables would take 22 MB and 1.2 s to build.
     """
     edges = _edge_list(n)
-    if len(edges) > 8 * _MAX_TABLES:
+    if n > _MAX_TABLE_N:
 
         def rows_by_edge(mask: int) -> list[int]:
             adj = [0] * n
@@ -145,28 +146,16 @@ def _time_table(n: int, r: int) -> tuple[bytearray, int]:
     return times, scans
 
 
-def _best_of(timed: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
-    """The first slowest of ``timed``, (mask, running time) pairs, as
-    (time, mask, number of starts examined)."""
-    best_time, best_mask, examined = -1, 0, 0
-    for examined, (mask, t) in enumerate(timed, start=1):
-        if t > best_time:
-            best_time = t
-            best_mask = mask
-    return best_time, best_mask, examined
-
-
 def _confirm(
-    n: int, r: int, best: tuple[int, int, int], kernel_scans: int, exhaustive: bool
+    n: int, r: int, best_time: int, best_mask: int, examined: int, scans: int, exhaustive: bool
 ) -> MaxTimeResult:
     """Replay the witness through ``engine.run``, built from the edge list
     rather than the row tables."""
-    best_time, best_mask, examined = best
     witness = Graph.from_edges(n, (e for i, e in enumerate(_edge_list(n)) if best_mask >> i & 1))
     trace = engine.run(witness, r, Graph.complete(n))
     if trace.truncated or trace.running_time != best_time:
         raise AssertionError(f"engine replay got {trace.running_time}, search said {best_time}")
-    return MaxTimeResult(n, r, best_time, witness, examined, exhaustive, kernel_scans)
+    return MaxTimeResult(n, r, best_time, witness, examined, exhaustive, scans)
 
 
 def max_running_time(n: int, r: int) -> MaxTimeResult:
@@ -176,7 +165,9 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
     if r < 3:
         raise ValueError("need r >= 3")
     times, scans = _time_table(n, r)
-    return _confirm(n, r, _best_of(enumerate(times)), scans, exhaustive=True)
+    best_time = max(times)
+    # index() finds the first slowest start in binary-counter order
+    return _confirm(n, r, best_time, times.index(best_time), len(times), scans, exhaustive=True)
 
 
 def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTimeResult:
@@ -191,15 +182,11 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     pairs = n * (n - 1) // 2
     rows_of = _row_builder(n)
     host_rows = list(enumerate(Graph.complete(n).adj))
-    scans = 0
-
-    def timed() -> Iterator[tuple[int, int]]:
-        nonlocal scans
-        for _ in range(samples):
-            mask = rng.getrandbits(pairs)
-            t = _running_time_complete_host(rows_of(mask), host_rows, r)
-            scans += t + 1
-            yield mask, t
-
-    best = _best_of(timed())
-    return _confirm(n, r, best, scans, exhaustive=False)
+    best_time, best_mask, scans = -1, 0, 0
+    for _ in range(samples):
+        mask = rng.getrandbits(pairs)
+        t = _running_time_complete_host(rows_of(mask), host_rows, r)
+        scans += t + 1
+        if t > best_time:
+            best_time, best_mask = t, mask
+    return _confirm(n, r, best_time, best_mask, samples, scans, exhaustive=False)

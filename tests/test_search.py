@@ -101,10 +101,10 @@ def test_search_kernel_matches_engine_on_every_start():
 
 
 def test_row_builder_matches_the_edge_list_across_bytes():
-    # n=8 has 28 edges, four table lookups; n=16 has 15 lookups, n=1 has none;
-    # n=17 is past the tables and builds its rows edge by edge
+    # n=8 has 28 edges, four table lookups; n=21 has 27 lookups, n=1 has none;
+    # n=22 is past the tables and builds its rows edge by edge
     rng = random.Random(3)
-    for n in (1, 2, 4, 7, 8, 16, 17):
+    for n in (1, 2, 4, 7, 8, 21, 22):
         edges = _edge_list(n)
         rows_of = _row_builder(n)
         masks = [0, (1 << len(edges)) - 1] + [rng.getrandbits(len(edges)) for _ in range(200)]
