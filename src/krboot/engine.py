@@ -8,8 +8,7 @@ the new edge is a fresh K_r.  Two kernel entry points apply this rule:
 - ``eligible`` checks candidate rows.  ``step_kr``, ``run``'s first step and
   its bail-out full scan take them from ``graphs.partner_rows``: each vertex's
   non-adjacent host partners above it, cut to those with at least r-2 common
-  neighbours when that cut is cheaper than the pairs it removes.  The
-  start-graph search passes the complete host's rows, built once per search.
+  neighbours when that cut is cheaper than the pairs it removes.
 - ``eligible_after`` is the anchored step: after a batch, a newly eligible
   pair closes a K_r through some batch edge, so it searches only around the
   batch edges.  ``run`` takes it unless its estimated cost exceeds the host

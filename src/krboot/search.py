@@ -1,44 +1,46 @@
 """Longest-running start graphs inside a complete host, by exhaustion or sampling.
 
-A start graph is a mask over K_n's lexicographic edge list.  ``_row_builder``
-turns a mask into adjacency rows with one lookup per byte of the mask, in
-per-byte tables of the edge list (for n <= 21; edge by edge past that).
-Every start runs through the engine's step kernel, ``engine.eligible``,
-without building a trace.  Unlike ``engine.run``, which takes its rows from
-``graphs.partner_rows``, the search hands the kernel the complete host's own
-rows, built once per search: on graphs this small, pruning the rows costs
-more than the pairs it saves.
+A start graph is a mask over K_n's lexicographic edge list.  Both searches
+walk many starts at once, bit-sliced: the state holds one big int per edge of
+K_n, whose bit s says whether the edge is present in start s's current graph.
+A pair (u, v) closes a K_r through each (r-2)-set Q of the other vertices, so
+one step ORs into each pair's int the starts in which every edge from u and v
+to Q and inside Q is present (``_walk``).  Every start steps under the same
+rule, so the starts changed at step t are exactly those that run for t steps
+or more: the slowest running time T is the number of non-empty changed sets,
+and the starts that take T steps are the bits of the last one.
 
-In the complete host one step takes a start ``mask`` to ``mask | batch``, a
-strictly larger edge subset and so itself a start with a larger mask.  Its
-running time is 0 when the batch is empty and one more than its successor's
-otherwise.  The exhaustive search therefore fills a table of running times
-over all 2^C(n,2) starts from the complete graph down, with one kernel scan
-and one table lookup per start, and then keeps the first slowest start in
-binary-counter order.  The sampled search walks each start to stabilization
-instead and keeps no memo: its random starts and their successors almost
-never repeat, so a memo would cost memory and save no scans; its ties go to
-the first slowest start drawn.  Each reported maximum is re-run through
-``engine.run`` as a confirmation before being returned.
+The exhaustive search walks the 2^C(n,2) starts in binary-counter order, in
+blocks of 2^20 starts: in a block the low 20 edges carry the counter's
+periodic bit patterns, built by doubling, and the higher edges are constant.
+The sampled search draws ``getrandbits(C(n,2))`` per sample, as a plain loop
+would, and transposes the draws into edge columns in blocks of 1024 samples.
+Within a block the lowest bit of the last changed set is its first slowest
+start, and a block replaces the leader only if it is strictly slower, so ties
+go to the first slowest start in binary-counter order or to the first slowest
+start drawn.  Each reported maximum is re-run through ``engine.run`` as a
+confirmation before being returned.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import or_
-from typing import Callable
+from itertools import combinations
 
 from . import engine
 from .graphs import Graph
 
-# largest n whose starts get their rows from lookup tables: the measured
-# crossover, past which building the rows edge by edge is as fast or faster
-_MAX_TABLE_N = 21
+_MAX_EXHAUSTIVE_N = 8  # 2^28 starts: 256 blocks
+_BLOCK_BITS = 20  # 2^20 exhaustive starts per block
+_SAMPLE_BLOCK = 1024  # samples transposed and walked at once
+
+Rule = list[tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], list[int]]]]]
 
 
 @dataclass
 class MaxTimeResult:
-    """``kernel_scans`` counts the ``engine.eligible`` calls the search made."""
+    """``kernel_scans`` is the sum of running time + 1 over the starts
+    examined: one step per edge batch, plus the step that finds none."""
 
     n: int
     r: int
@@ -53,104 +55,67 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _row_builder(n: int) -> Callable[[int], list[int]]:
-    """The adjacency rows of an edge mask of K_n, from per-byte lookup tables.
-
-    ``tables[j][b]`` holds the rows of the edges whose bits in byte j of the
-    mask are b, so a mask over C(n,2) edges costs ceil(C(n,2)/8) lookups.
-    The tables hold 256 * n rows per byte, O(n^3) in all, and each lookup
-    ORs n rows, so past ``_MAX_TABLE_N`` the rows are built edge by edge
-    instead, in O(n) memory: from n = 22 on that is as fast per start, and
-    at n = 50 the tables would take 22 MB and 1.2 s to build.
-    """
+def _rule(n: int, r: int) -> Rule:
+    """For each pair (u, v) of K_n, in edge-list order: its legs (uw, vw), one
+    for each other vertex w, and its closers, one for each (r-2)-set Q of
+    those w, as Q's leg positions and the edges inside Q.  Edges are
+    edge-list indices."""
     edges = _edge_list(n)
-    if n > _MAX_TABLE_N:
-
-        def rows_by_edge(mask: int) -> list[int]:
-            adj = [0] * n
-            while mask:
-                low = mask & -mask
-                u, v = edges[low.bit_length() - 1]
-                mask ^= low
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            return adj
-
-        return rows_by_edge
-    tables = []
-    for lo in range(0, len(edges) or 1, 8):
-        byte_edges = edges[lo : lo + 8]
-        table = []
-        for b in range(1 << len(byte_edges)):
-            rows = [0] * n
-            for i, (u, v) in enumerate(byte_edges):
-                if b >> i & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-            table.append(tuple(rows))
-        tables.append(table)
-    first, *rest = tables
-
-    def rows_of(mask: int) -> list[int]:
-        rows = first[mask & 255]
-        for table in rest:
-            mask >>= 8
-            rows = map(or_, rows, table[mask & 255])
-        return list(rows)
-
-    return rows_of
-
-
-def _running_time_complete_host(
-    adj: list[int], host_rows: list[tuple[int, int]], r: int
-) -> int:
-    """Steps to stabilization for the K_r process from the rows ``adj``.
-
-    ``host_rows`` is ``list(enumerate(host.adj))``, the kernel's full-scan
-    rows, built once per search.  Mutates ``adj``, and makes one kernel scan
-    more than the steps it returns.  Shares the engine's step kernel and
-    skips only the trace bookkeeping; witnesses are re-validated with
-    ``engine.run`` afterwards.
-    """
-    t = 0
-    while batch := engine.eligible(adj, r, host_rows):
-        for u, v in batch:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        t += 1
-    return t
-
-
-def _time_table(n: int, r: int) -> tuple[bytearray, int]:
-    """Running time of every start in K_n, indexed by edge mask, and the
-    number of kernel scans made to fill it.
-
-    Starts are filled in descending mask order, so each successor
-    ``mask | batch`` is already in the table.
-    """
-    rows_of = _row_builder(n)
-    host_rows = list(enumerate(Graph.complete(n).adj))
-    edges = _edge_list(n)
-    bit = [[0] * n for _ in range(n)]
+    index = {}
     for i, (u, v) in enumerate(edges):
-        bit[u][v] = 1 << i
-    times = bytearray(1 << len(edges))
-    scans = 0
-    for mask in range(len(times) - 1, -1, -1):
-        scans += 1
-        if batch := engine.eligible(rows_of(mask), r, host_rows):
-            succ = mask
-            for u, v in batch:
-                succ |= bit[u][v]
-            times[mask] = times[succ] + 1
-    return times, scans
+        index[u, v] = index[v, u] = i
+    rule = []
+    for u, v in edges:
+        others = [w for w in range(n) if w != u and w != v]
+        legs = [(index[u, w], index[v, w]) for w in others]
+        closers = [(q, [index[others[a], others[b]] for a, b in combinations(q, 2)])
+                   for q in combinations(range(len(others)), r - 2)]
+        rule.append((legs, closers))
+    return rule
+
+
+def _walk(state: list[int], starts: int, rule: Rule) -> tuple[int, int, int]:
+    """Step the bit-sliced ``state`` of ``starts`` starts to stabilization.
+
+    Returns the slowest running time T, the bits of the starts that take T
+    steps (every start when T is 0), and the sum of running time + 1 over all
+    starts.  Only the starts changed by the last step can change again, so
+    each pair is decided for those of them that still miss it.
+    """
+    active = last = (1 << starts) - 1
+    t, scans = 0, starts
+    while True:
+        new = state[:]
+        changed = 0
+        for e, (legs, closers) in enumerate(rule):
+            need = active & ~state[e]
+            if not need:
+                continue
+            common = [need & state[uw] & state[vw] for uw, vw in legs]
+            add = 0
+            for q, inner in closers:
+                a = common[q[0]]
+                for w in q[1:]:
+                    a &= common[w]
+                for f in inner:
+                    a &= state[f]
+                add |= a
+            if add:
+                new[e] |= add
+                changed |= add
+        if not changed:
+            return t, last, scans
+        state = new
+        active = last = changed
+        t += 1
+        scans += changed.bit_count()
 
 
 def _confirm(
     n: int, r: int, best_time: int, best_mask: int, examined: int, scans: int, exhaustive: bool
 ) -> MaxTimeResult:
-    """Replay the witness through ``engine.run``, built from the edge list
-    rather than the row tables."""
+    """Replay the witness through ``engine.run``, which shares no code with
+    the bit-sliced walk."""
     witness = Graph.from_edges(n, (e for i, e in enumerate(_edge_list(n)) if best_mask >> i & 1))
     trace = engine.run(witness, r, Graph.complete(n))
     if trace.truncated or trace.running_time != best_time:
@@ -159,15 +124,31 @@ def _confirm(
 
 
 def max_running_time(n: int, r: int) -> MaxTimeResult:
-    """Exact maximum running time over all 2^C(n,2) start graphs; n <= 7."""
-    if not 1 <= n <= 7:
-        raise ValueError("exhaustive search is limited to 1 <= n <= 7")
+    """Exact maximum running time over all 2^C(n,2) start graphs; n <= 8."""
+    if not 1 <= n <= _MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive search is limited to 1 <= n <= {_MAX_EXHAUSTIVE_N}")
     if r < 3:
         raise ValueError("need r >= 3")
-    times, scans = _time_table(n, r)
-    best_time = max(times)
-    # index() finds the first slowest start in binary-counter order
-    return _confirm(n, r, best_time, times.index(best_time), len(times), scans, exhaustive=True)
+    rule = _rule(n, r)
+    pairs = len(rule)
+    low = min(pairs, _BLOCK_BITS)
+    size = 1 << low
+    counter = []  # bit s of column i is bit i of s
+    for i in range(low):
+        col, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while period < size:
+            col |= col << period
+            period <<= 1
+        counter.append(col)
+    full = (1 << size) - 1
+    best_time, best_mask, scans = -1, 0, 0
+    for block in range(1 << (pairs - low)):
+        high = [full if block >> i & 1 else 0 for i in range(pairs - low)]
+        t, last, s = _walk(counter + high, size, rule)
+        scans += s
+        if t > best_time:
+            best_time, best_mask = t, block << low | (last & -last).bit_length() - 1
+    return _confirm(n, r, best_time, best_mask, 1 << pairs, scans, exhaustive=True)
 
 
 def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTimeResult:
@@ -179,14 +160,22 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    pairs = n * (n - 1) // 2
-    rows_of = _row_builder(n)
-    host_rows = list(enumerate(Graph.complete(n).adj))
+    rule = _rule(n, r)
+    pairs = len(rule)
+    width = (pairs + 7) // 8  # bytes per sample
+    # byte -> b"0" or b"1", bit j of the byte
+    digits = [bytes.maketrans(bytes(range(256)), bytes(48 + (b >> j & 1) for b in range(256)))
+              for j in range(8)]
     best_time, best_mask, scans = -1, 0, 0
-    for _ in range(samples):
-        mask = rng.getrandbits(pairs)
-        t = _running_time_complete_host(rows_of(mask), host_rows, r)
-        scans += t + 1
+    for lo in range(0, samples, _SAMPLE_BLOCK):
+        masks = [rng.getrandbits(pairs) for _ in range(min(_SAMPLE_BLOCK, samples - lo))]
+        # big-endian samples, last first: column e reads its bits from the
+        # last sample down to the first, as int(..., 2) wants them
+        data = b"".join(m.to_bytes(width, "big") for m in reversed(masks))
+        cols = [int(data[width - 1 - (e >> 3) :: width].translate(digits[e & 7]), 2)
+                for e in range(pairs)]
+        t, last, s = _walk(cols, len(masks), rule)
+        scans += s
         if t > best_time:
-            best_time, best_mask = t, mask
+            best_time, best_mask = t, masks[(last & -last).bit_length() - 1]
     return _confirm(n, r, best_time, best_mask, samples, scans, exhaustive=False)

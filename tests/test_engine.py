@@ -317,37 +317,40 @@ def test_run_does_not_recount_edges_per_step(monkeypatch):
     assert calls <= 3  # host and start once, the final graph once
 
 
-def test_batches_are_new_disjoint_edges():
-    rng = random.Random(31337)
-    for _ in range(60):
-        g, r, host = random_instance(rng)
-        t = run(g, r, host)
-        seen = set(g.edges())
-        for batch in t.steps:
-            assert batch == sorted(batch)
-            for e in batch:
-                assert e not in seen
-                seen.add(e)
-        assert len(seen) == t.final_edge_count
+@settings(max_examples=200, deadline=None)
+@given(hosted_starts())
+def test_batches_are_new_disjoint_edges(instance):
+    start, r, host = instance
+    t = run(start, r, host)
+    seen = set(start.edges())
+    for batch in t.steps:
+        assert batch == sorted(batch)
+        for e in batch:
+            assert e not in seen  # neither present nor in an earlier batch
+            seen.add(e)
+    assert len(seen) == t.final_edge_count
 
 
-def test_replay_reconstructs_final_graph():
-    rng = random.Random(4)
-    for _ in range(40):
-        g, r, host = random_instance(rng)
-        t = run(g, r, host)
-        final = replay(g, t)
-        assert final.edge_count() == t.final_edge_count
-        assert (final == host) == t.percolated
+@settings(max_examples=200, deadline=None)
+@given(hosted_starts())
+def test_replay_reconstructs_final_graph(instance):
+    start, r, host = instance
+    t = run(start, r, host)
+    final = replay(start, t)
+    assert final.edge_count() == t.final_edge_count
+    assert (final == host) == t.percolated
+    assert step_kr(final, r, host) == []
 
 
-def test_cone_lifts_process_batch_for_batch():
-    rng = random.Random(12)
-    for _ in range(40):
-        g, r, host = random_instance(rng)
-        base = run(g, r, host)
-        lifted = run(cone(g), r + 1, Graph.complete(g.n + 1))
-        assert lifted.steps == base.steps
+@settings(max_examples=200, deadline=None)
+@given(hosted_starts())
+def test_cone_lifts_process_batch_for_batch(instance):
+    # the apex lies in every common neighbourhood, so an (r-2)-clique there
+    # is an (r-1)-clique with the apex: the same batches, the same running time
+    start, r, host = instance
+    base = run(start, r, host)
+    lifted = run(cone(start), r + 1, cone(host))
+    assert lifted.steps == base.steps
 
 
 def test_trace_json_bytes_are_pinned():

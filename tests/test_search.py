@@ -3,24 +3,30 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krboot.engine import run
 from krboot.graphs import Graph, cone
 from krboot.search import (
     _edge_list,
-    _row_builder,
-    _running_time_complete_host,
-    _time_table,
+    _rule,
+    _walk,
     max_running_time,
     max_running_time_sampled,
 )
 
-# rows of the first slowest starts: in binary-counter order for n=6, in each
-# seed's RNG order for the K_8 samples
+# rows of the first slowest starts: in binary-counter order for n=6 and 7, in
+# each seed's RNG order for the K_8 samples
 WITNESS_N6 = {
     3: [40, 20, 10, 5, 2, 1],
     4: [58, 45, 26, 7, 5, 3],
     5: [62, 61, 43, 23, 11, 7],
+}
+WITNESS_N7 = {
+    3: [40, 20, 10, 5, 2, 1, 0],
+    4: [120, 92, 58, 7, 7, 5, 3],
+    5: [126, 117, 91, 53, 15, 11, 7],
 }
 WITNESS_SAMPLED_K8_R4 = [  # max_running_time_sampled(8, 4, 2000, seed), seeds 0..15
     [232, 24, 208, 147, 46, 145, 5, 45],
@@ -86,48 +92,92 @@ def test_witnesses_keep_the_first_slowest_start():
         assert res.witness_start.adj == rows
 
 
-def test_search_kernel_matches_engine_on_every_start():
-    n = 5
-    edges = _edge_list(n)
+def start_of(n: int, mask: int) -> Graph:
+    return Graph.from_edges(n, [e for i, e in enumerate(_edge_list(n)) if mask >> i & 1])
+
+
+def engine_times(n: int, r: int, masks) -> list[int]:
     host = Graph.complete(n)
-    rows_of = _row_builder(n)
-    for r in (3, 4):
-        for mask in range(1 << len(edges)):
-            start = Graph.from_edges(n, [e for i, e in enumerate(edges) if mask >> i & 1])
-            adj = rows_of(mask)
-            assert adj == start.adj
-            t = _running_time_complete_host(adj, list(enumerate(host.adj)), r)
-            assert t == run(start, r, host).running_time
+    return [run(start_of(n, mask), r, host).running_time for mask in masks]
 
 
-def test_row_builder_matches_the_edge_list_across_bytes():
-    # n=8 has 28 edges, four table lookups; n=21 has 27 lookups, n=1 has none;
-    # n=22 is past the tables and builds its rows edge by edge
-    rng = random.Random(3)
-    for n in (1, 2, 4, 7, 8, 21, 22):
-        edges = _edge_list(n)
-        rows_of = _row_builder(n)
-        masks = [0, (1 << len(edges)) - 1] + [rng.getrandbits(len(edges)) for _ in range(200)]
-        for mask in masks:
-            start = Graph.from_edges(n, [e for i, e in enumerate(edges) if mask >> i & 1])
-            assert rows_of(mask) == start.adj
+def sliced(n: int, r: int, masks: list[int]) -> tuple[int, int, int]:
+    """``_walk`` over ``masks`` together: bit s of column e is edge e of masks[s]."""
+    cols = [sum((m >> e & 1) << s for s, m in enumerate(masks)) for e in range(len(_edge_list(n)))]
+    return _walk(cols, len(masks), _rule(n, r))
 
 
-def test_time_table_equals_the_walk_on_every_start():
+def test_search_kernel_matches_engine_on_every_start():
     for n in range(1, 6):
-        rows_of = _row_builder(n)
-        host_rows = list(enumerate(Graph.complete(n).adj))
+        masks = list(range(1 << len(_edge_list(n))))
         for r in (3, 4, 5):
-            times, _ = _time_table(n, r)
-            assert len(times) == 1 << len(_edge_list(n))
-            for mask, t in enumerate(times):
-                assert t == _running_time_complete_host(rows_of(mask), host_rows, r)
+            times = engine_times(n, r, masks)
+            for mask, t in zip(masks, times):
+                assert sliced(n, r, [mask]) == (t, 1, t + 1)
+            slowest = max(times)
+            last = sum(1 << s for s, t in enumerate(times) if t == slowest)
+            assert sliced(n, r, masks) == (slowest, last, sum(times) + len(times))
 
 
-def test_exhaustive_makes_one_kernel_scan_per_start():
-    for n, r in ((4, 3), (5, 4), (6, 5)):
+def test_exhaustive_kernel_scans_count_every_step_and_the_last_scan():
+    for n, r in ((4, 3), (5, 4), (5, 5)):
+        masks = range(1 << len(_edge_list(n)))
         res = max_running_time(n, r)
-        assert res.kernel_scans == res.graphs_examined == 2 ** (n * (n - 1) // 2)
+        assert res.kernel_scans == sum(engine_times(n, r, masks)) + len(masks)
+
+
+def test_exhaustive_n7_witnesses_are_the_first_slowest_starts():
+    for (r, rows), want in zip(WITNESS_N7.items(), (3, 4, 3)):
+        res = max_running_time(7, r)
+        assert res.max_time == want
+        assert res.witness_start.adj == rows
+
+
+@pytest.mark.slow
+def test_exhaustive_n8_matches_the_theorems():
+    # M_3(n) = ceil(log2(n - 1)) and M_4(n) = n - 3
+    assert max_running_time(8, 3).max_time == 3
+    assert max_running_time(8, 4).max_time == 5
+
+
+def plain_sampled_loop(n: int, r: int, samples: int, seed: int) -> tuple[int, Graph, int]:
+    """The first slowest of ``samples`` draws, one ``engine.run`` each, and
+    the sum of running time + 1 over the draws."""
+    rng = random.Random(seed)
+    pairs = len(_edge_list(n))
+    best_time, best, scans = -1, None, 0
+    for _ in range(samples):
+        start = start_of(n, rng.getrandbits(pairs))
+        t = run(start, r, Graph.complete(n)).running_time
+        scans += t + 1
+        if t > best_time:
+            best_time, best = t, start
+    return best_time, best, scans
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.integers(3, 6),
+    st.integers(1, 64),
+    st.integers(-(2**64), 2**64),
+)
+def test_sampled_search_equals_a_plain_loop(n, r, samples, seed):
+    res = max_running_time_sampled(n, r, samples, seed)
+    assert (res.max_time, res.witness_start, res.kernel_scans) == plain_sampled_loop(
+        n, r, samples, seed
+    )
+
+
+def test_sampled_search_matches_a_plain_loop_across_bytes():
+    # the draws are transposed into edge columns byte by byte: n=8 fills four
+    # bytes exactly, n=12 and n=22 end inside a byte, and 1100 samples make
+    # two blocks
+    for n, r, samples in ((8, 4, 1100), (12, 3, 60), (12, 5, 40), (22, 3, 30)):
+        res = max_running_time_sampled(n, r, samples, seed=n + r)
+        assert (res.max_time, res.witness_start, res.kernel_scans) == plain_sampled_loop(
+            n, r, samples, n + r
+        )
 
 
 def test_sampled_kernel_scans_count_every_step_and_the_last_scan():
@@ -147,7 +197,7 @@ def test_sampled_kernel_scans_count_every_step_and_the_last_scan():
 
 def test_exhaustive_bounds():
     with pytest.raises(ValueError):
-        max_running_time(8, 3)
+        max_running_time(9, 3)
     with pytest.raises(ValueError):
         max_running_time(0, 3)
     with pytest.raises(ValueError):
