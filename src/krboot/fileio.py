@@ -1,10 +1,18 @@
 """Plain-text readers and writers for graphs, hypergraphs, pair lists,
 progression-free sets, and JSON traces.  All formats round-trip losslessly;
 malformed input raises ValueError with a line reference.
+
+Writers overwrite an existing regular file in place and then cut it to the
+new text's length, instead of truncating it on open: on ext4, truncating or
+renaming over a file whose pages are not yet on disk waits for them to be
+written out first.
 """
 from __future__ import annotations
 
+import json
 import os
+import stat
+from contextlib import contextmanager
 
 from .apsets import ApSet
 from .engine import PercolationTrace
@@ -13,6 +21,24 @@ from .graphs import Graph, UniformHypergraph
 
 def _fail(path: str | os.PathLike, lineno: int, msg: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: {msg}")
+
+
+@contextmanager
+def _overwrite(path):
+    """Text handle that leaves ``path`` holding exactly what was written.
+
+    Like ``open(path, "w")`` for links, ``/dev/fd/N``, pipes and mode bits,
+    but without ``O_TRUNC``.  The cut runs even if writing fails, so the file
+    then holds a prefix of the new text; only regular files are cut, as
+    ``O_TRUNC`` has no effect on pipes or devices either.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
 
 
 def _int_fields(line: str, count: int, path, lineno: int) -> list[int]:
@@ -26,7 +52,7 @@ def _int_fields(line: str, count: int, path, lineno: int) -> list[int]:
 
 
 def write_graph(g: Graph, path) -> None:
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"{g.n} {g.edge_count()}\n")
         for u, v in g.edges():
             fh.write(f"{u} {v}\n")
@@ -58,7 +84,7 @@ def read_graph(path) -> Graph:
 
 
 def write_hypergraph(h: UniformHypergraph, path) -> None:
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"{h.n} {h.r} {len(h.edges)}\n")
         for e in h.edges:
             fh.write(" ".join(str(v) for v in e) + "\n")
@@ -102,7 +128,7 @@ def read_hypergraph(path) -> UniformHypergraph:
 
 
 def write_fpairs(pairs: list[tuple[int, int]], path) -> None:
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         for u, v in pairs:
             fh.write(f"{u} {v}\n")
 
@@ -120,7 +146,7 @@ def read_fpairs(path) -> list[tuple[int, int]]:
 
 
 def write_apset(s: ApSet, path) -> None:
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(f"{s.n} {len(s.elements)}\n")
         for e in s.elements:
             fh.write(f"{e}\n")
@@ -148,10 +174,18 @@ def read_apset(path) -> ApSet:
 
 
 def write_trace(t: PercolationTrace, path) -> None:
-    with open(path, "w") as fh:
+    with _overwrite(path) as fh:
         fh.write(t.to_json() + "\n")
 
 
 def read_trace(path) -> PercolationTrace:
     with open(path) as fh:
-        return PercolationTrace.from_json(fh.read())
+        text = fh.read()
+    try:
+        return PercolationTrace.from_json(text)
+    except json.JSONDecodeError as e:
+        raise _fail(path, e.lineno, e.msg) from None
+    except KeyError as e:
+        raise _fail(path, 1, f"trace has no {e} field") from None
+    except (TypeError, ValueError) as e:  # the object starts on line 1
+        raise _fail(path, 1, f"malformed trace: {e}") from None

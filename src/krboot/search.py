@@ -14,7 +14,7 @@ The exhaustive search walks the 2^C(n,2) starts in binary-counter order, in
 blocks of 2^20 starts: in a block the low 20 edges carry the counter's
 periodic bit patterns, built by doubling, and the higher edges are constant.
 The sampled search draws ``getrandbits(C(n,2))`` per sample, as a plain loop
-would, and transposes the draws into edge columns in blocks of 1024 samples.
+would, and transposes the draws into edge columns in blocks of 4096 samples.
 Within a block the lowest bit of the last changed set is its first slowest
 start, and a block replaces the leader only if it is strictly slower, so ties
 go to the first slowest start in binary-counter order or to the first slowest
@@ -32,7 +32,7 @@ from .graphs import Graph
 
 _MAX_EXHAUSTIVE_N = 8  # 2^28 starts: 256 blocks
 _BLOCK_BITS = 20  # 2^20 exhaustive starts per block
-_SAMPLE_BLOCK = 1024  # samples transposed and walked at once
+_SAMPLE_BLOCK = 4096  # samples transposed and walked at once
 
 Rule = list[tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], list[int]]]]]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from krboot.engine import run
 from krboot.graphs import Graph, cone
 from krboot.search import (
+    _SAMPLE_BLOCK,
     _edge_list,
     _rule,
     _walk,
@@ -171,9 +172,10 @@ def test_sampled_search_equals_a_plain_loop(n, r, samples, seed):
 
 def test_sampled_search_matches_a_plain_loop_across_bytes():
     # the draws are transposed into edge columns byte by byte: n=8 fills four
-    # bytes exactly, n=12 and n=22 end inside a byte, and 1100 samples make
-    # two blocks
-    for n, r, samples in ((8, 4, 1100), (12, 3, 60), (12, 5, 40), (22, 3, 30)):
+    # bytes exactly, n=12 and n=22 end inside a byte, and _SAMPLE_BLOCK + 76
+    # samples make two blocks
+    two_blocks = _SAMPLE_BLOCK + 76
+    for n, r, samples in ((8, 4, two_blocks), (12, 3, 60), (12, 5, 40), (22, 3, 30)):
         res = max_running_time_sampled(n, r, samples, seed=n + r)
         assert (res.max_time, res.witness_start, res.kernel_scans) == plain_sampled_loop(
             n, r, samples, n + r
