@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
 from krboot import fileio
 from krboot.cli import main
-from krboot.constructions import build_chain, build_h6
+from krboot.constructions import build_chain, build_h6, minimal_percolating
 from krboot.graphs import Graph, UniformHypergraph, two_skeleton
 
 
@@ -73,6 +74,77 @@ def test_construct_minimal_and_cone(tmp_path, capsys):
     ) == 0
     lifted = fileio.read_graph(prefix2 + ".start.txt")
     assert (lifted.n, lifted.edge_count()) == (8, 18)
+
+
+# flags, stdout line and sha256 of every file written, per family; the
+# cone-of input is the minimal (6, 4) start written by fileio.write_graph
+CONSTRUCT_GOLDEN = {
+    "h6": (
+        ["--n", "10"],
+        "vertices=80 hyperedges=1 skeleton_edges=15 start_edges=14",
+        {
+            "fpairs.txt": "f628e5932b58e6a7dd441cf37219299e0cb65eb52d12d00f2c602327718afd63",
+            "hypergraph.txt": "69f443f9837296017bfd5afdd08a2828311964e5a73175fa41c392c60f8a2e7d",
+            "skeleton.txt": "33c5f3ac2c4162578b965d75db1158a737486796d59bc2c9db19e708a7c90949",
+            "start.txt": "518dcb7f2f0563774534157e9eed3a0cccd9c191f97fb835cd18de3d3723f305",
+        },
+    ),
+    "chain": (
+        ["--m", "3"],
+        "vertices=11 hyperedges=3 skeleton_edges=28 start_edges=25",
+        {
+            "fpairs.txt": "844182dfcfb3b2423f648c98a8c51a60b2d599fcb5b1ea6783352bef3c340861",
+            "hypergraph.txt": "e521729aff30752d09ab1bf70f61bd2611f18bfbbc884e3d719fe44ced512900",
+            "skeleton.txt": "4ca44f7d661f403d762d0ace9a7262a0fc50d72eec167213d2e2ebd493d0c2a4",
+            "start.txt": "da71b76c76d5b4aa56c3ef69cbd9a116c455caa5f0c553ba5cd7c13f2ffcc4db",
+        },
+    ),
+    "hb": (
+        ["--n", "20", "--b", "3"],
+        "vertices=63 hyperedges=14",
+        {"hypergraph.txt": "1d69bb70276c1e50424eae908b46164581af68dffd2badda26522130afcd65fe"},
+    ),
+    "hB": (
+        ["--n", "20", "--B", "1,2,4"],
+        "vertices=63 hyperedges=46",
+        {"hypergraph.txt": "f088df839d24389066a32fcd8dc15c4b5375512d70b971eac1a9b8be89aa7370"},
+    ),
+    "hprime": (
+        ["--n", "100", "--B", "10,20"],
+        "vertices=310 hyperedges=141 skeleton_edges=1154 start_edges=1013",
+        {
+            "fpairs.txt": "f698436578ce6343087710cc9e2a345192ae1e019b6a924a7428413f7f234949",
+            "hypergraph.txt": "3c3ab77e4e5e369d464a6dd834d130e976b02420bbdf5af3254ffb3cd7ed5cae",
+            "skeleton.txt": "37510c206cb817768a9a3e834780c9d01223169160a3218604f0074f89c70abf",
+            "start.txt": "0a615ba378c0042e47c187ca63e80351498acd5100ba3ce9eaafb2c8c2654fd0",
+        },
+    ),
+    "minimal": (
+        ["--n", "7", "--r", "4"],
+        "vertices=7 start_edges=11",
+        {"start.txt": "17c52a360b9e518b21916959aa3f196c7c791e43c2102cc4abfd4466156a80c0"},
+    ),
+    "cone-of": (
+        ["--input", "base.txt"],
+        "vertices=7 start_edges=15",
+        {"start.txt": "4fc0b6279845eabc33fe9d9f6b891a4bc01e5b9afa3f4567ca867c53bb37f004"},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(CONSTRUCT_GOLDEN))
+def test_construct_golden_output(tmp_path, capsys, monkeypatch, family):
+    flags, line, digests = CONSTRUCT_GOLDEN[family]
+    monkeypatch.chdir(tmp_path)
+    fileio.write_graph(minimal_percolating(6, 4), "base.txt")
+    (tmp_path / "out").mkdir()
+    assert run_cli("construct", "--family", family, *flags, "--out-prefix", "out/x") == 0
+    assert capsys.readouterr().out == line + "\n"
+    written = {
+        p.name[2:]: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (tmp_path / "out").iterdir()
+    }
+    assert written == digests
 
 
 def test_construct_missing_flag_is_usage_error(tmp_path, capsys):
