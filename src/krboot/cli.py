@@ -11,7 +11,7 @@ import sys
 
 from . import constructions, engine, experiment, fileio, verify
 from .apsets import SOURCES, ApSet
-from .graphs import Graph, cone
+from .graphs import Graph
 from .search import max_running_time, max_running_time_sampled
 
 
@@ -25,59 +25,46 @@ def _parse_slope_list(text: str) -> ApSet:
     return ApSet(max(values), tuple(values))
 
 
-_CONSTRUCT_NEEDS = {
-    "h6": ("n",),
-    "chain": ("m",),
-    "hb": ("n", "b"),
-    "hB": ("n", "B"),
-    "hprime": ("n", "B"),
-    "minimal": ("n", "r"),
-    "cone-of": ("input",),
+# construct's family parameters: flag -> (type, help); which family reads
+# which flag comes from constructions.FAMILIES
+_CONSTRUCT_FLAGS = {
+    "n": (int, "size parameter"),
+    "m": (int, "chain length"),
+    "b": (int, "single slope"),
+    "B": (str, "comma-separated slopes"),
+    "r": (int, "process order"),
+    "input": (str, "graph file to cone over"),
+}
+
+# construction part -> (file suffix, writer, name of its edge count on stdout)
+_PART_FILES = {
+    "hypergraph": ("hypergraph.txt", fileio.write_hypergraph, "hyperedges"),
+    "f_pairs": ("fpairs.txt", fileio.write_fpairs, None),
+    "skeleton": ("skeleton.txt", fileio.write_graph, "skeleton_edges"),
+    "start": ("start.txt", fileio.write_graph, "start_edges"),
 }
 
 
 def cmd_construct(args) -> int:
-    for attr in _CONSTRUCT_NEEDS[args.family]:
-        if getattr(args, attr) is None:
-            raise ValueError(f"family {args.family} requires --{attr}")
-    prefix = args.out_prefix
-    if args.family == "h6":
-        out = constructions.build_h6(args.n)
-    elif args.family == "chain":
-        out = constructions.build_chain(args.m)
-    elif args.family == "hprime":
-        out = constructions.build_hprime(args.n, _parse_slope_list(args.B))
-    elif args.family == "hb":
-        h = constructions.build_hb(args.n, args.b)
-        fileio.write_hypergraph(h, f"{prefix}.hypergraph.txt")
-        print(f"vertices={h.n} hyperedges={len(h.edges)}")
-        return 0
-    elif args.family == "hB":
-        h = constructions.build_hB(args.n, _parse_slope_list(args.B))
-        fileio.write_hypergraph(h, f"{prefix}.hypergraph.txt")
-        print(f"vertices={h.n} hyperedges={len(h.edges)}")
-        return 0
-    elif args.family == "minimal":
-        g = constructions.minimal_percolating(args.n, args.r)
-        fileio.write_graph(g, f"{prefix}.start.txt")
-        print(f"vertices={g.n} start_edges={g.edge_count()}")
-        return 0
-    elif args.family == "cone-of":
-        g = cone(fileio.read_graph(args.input))
-        fileio.write_graph(g, f"{prefix}.start.txt")
-        print(f"vertices={g.n} start_edges={g.edge_count()}")
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.family)
-
-    fileio.write_hypergraph(out.hypergraph, f"{prefix}.hypergraph.txt")
-    fileio.write_fpairs(out.f_pairs, f"{prefix}.fpairs.txt")
-    fileio.write_graph(out.skeleton, f"{prefix}.skeleton.txt")
-    fileio.write_graph(out.start, f"{prefix}.start.txt")
-    print(
-        f"vertices={out.hypergraph.n} hyperedges={len(out.hypergraph.edges)} "
-        f"skeleton_edges={out.skeleton.edge_count()} start_edges={out.start.edge_count()}"
-    )
+    params = constructions.FAMILIES[args.family].params
+    for flag in params:
+        if getattr(args, flag) is None:
+            raise ValueError(f"family {args.family} requires --{flag}")
+    for flag in _CONSTRUCT_FLAGS:
+        if flag not in params and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is only read by {constructions.read_by(flag)}")
+    values = {flag: getattr(args, flag) for flag in params}
+    if "B" in values:
+        values["B"] = _parse_slope_list(values["B"])
+    out = constructions.build(args.family, **values)
+    fields = [f"vertices={out.vertices}"]
+    for part, (suffix, write, count) in _PART_FILES.items():
+        made = getattr(out, part)
+        if made is not None:
+            write(made, f"{args.out_prefix}.{suffix}")
+            if count:
+                fields.append(f"{count}={made.edge_count()}")
+    print(" ".join(fields))
     return 0
 
 
@@ -168,17 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a scaffold and write its files")
-    c.add_argument(
-        "--family",
-        required=True,
-        choices=["h6", "chain", "hb", "hB", "hprime", "minimal", "cone-of"],
-    )
-    c.add_argument("--n", type=int, help="size parameter")
-    c.add_argument("--m", type=int, help="chain length (family chain)")
-    c.add_argument("--b", type=int, help="single slope (family hb)")
-    c.add_argument("--B", help="comma-separated slopes (families hB, hprime)")
-    c.add_argument("--r", type=int, help="process order (family minimal)")
-    c.add_argument("--input", help="graph file to cone over (family cone-of)")
+    c.add_argument("--family", required=True, choices=list(constructions.FAMILIES))
+    for flag, (kind, what) in _CONSTRUCT_FLAGS.items():
+        c.add_argument(f"--{flag}", type=kind, help=f"{what} ({constructions.read_by(flag)})")
     c.add_argument("--out-prefix", default="construction", help="output file prefix")
     c.set_defaults(func=cmd_construct)
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .apsets import ApSet
-from .graphs import Graph, UniformHypergraph, two_skeleton
+from .graphs import Graph, UniformHypergraph, cone, two_skeleton
 
 
 class IntegrityError(ValueError):
@@ -23,14 +24,21 @@ class ConstructionOutput:
     """A scaffold hypergraph with its pair sequence and derived graphs.
 
     ``f_pairs[i]`` is contained in ``hypergraph.edges[i]``; ``start`` is the
-    2-skeleton with exactly those pairs deleted.
+    2-skeleton with exactly those pairs deleted.  Parts a family does not
+    make are None: hb and hB make only the hypergraph, minimal and cone-of
+    only the start graph.
     """
 
-    hypergraph: UniformHypergraph
-    f_pairs: list[tuple[int, int]]
-    skeleton: Graph
-    start: Graph
+    hypergraph: UniformHypergraph | None = None
+    f_pairs: list[tuple[int, int]] | None = None
+    skeleton: Graph | None = None
+    start: Graph | None = None
     meta: dict = field(default_factory=dict)
+
+    @property
+    def vertices(self) -> int:
+        """Vertex count of the parts that were made."""
+        return (self.hypergraph if self.hypergraph is not None else self.start).n
 
 
 def starting_graph(c: ConstructionOutput) -> Graph:
@@ -289,3 +297,53 @@ def minimal_percolating(n: int, r: int) -> Graph:
     if g.edge_count() != expect:
         raise IntegrityError("edge count mismatch in dense seed")
     return g
+
+
+# ---------------------------------------------------------------- family table
+
+
+class Family(NamedTuple):
+    """``builder`` takes the values of ``params`` in order; ``default_r`` is the
+    process order the family is built for (None: the caller picks); ``parts``
+    names the ``ConstructionOutput`` fields it fills."""
+
+    builder: Callable
+    params: tuple[str, ...]
+    default_r: int | None
+    parts: tuple[str, ...] = ("hypergraph", "f_pairs", "skeleton", "start")
+
+
+def _cone_of(input: str) -> Graph:
+    """The cone over the graph in file ``input``: carries an r-start to r + 1."""
+    from .fileio import read_graph  # imported here to keep it off ``import krboot``
+
+    return cone(read_graph(input))
+
+
+FAMILIES: dict[str, Family] = {
+    "h6": Family(build_h6, ("n",), 6),
+    "chain": Family(build_chain, ("m",), 5),
+    "hb": Family(build_hb, ("n", "b"), 5, ("hypergraph",)),
+    "hB": Family(build_hB, ("n", "B"), 5, ("hypergraph",)),
+    "hprime": Family(build_hprime, ("n", "B"), 5),
+    "minimal": Family(minimal_percolating, ("n", "r"), None, ("start",)),
+    "cone-of": Family(_cone_of, ("input",), None, ("start",)),
+}
+
+
+def build(family: str, **params) -> ConstructionOutput:
+    """Build ``family`` from the ``params`` it reads; the rest are ignored."""
+    fam = FAMILIES[family]
+    made = fam.builder(*(params[p] for p in fam.params))
+    if isinstance(made, ConstructionOutput):
+        return made
+    (part,) = fam.parts
+    return ConstructionOutput(**{part: made})
+
+
+def read_by(param: str) -> str:
+    """The families that read ``param``: 'family hb', 'families hB and hprime'."""
+    names = [name for name, fam in FAMILIES.items() if param in fam.params]
+    if len(names) == 1:
+        return f"family {names[0]}"
+    return f"families {', '.join(names[:-1])} and {names[-1]}"

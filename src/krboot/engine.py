@@ -57,15 +57,41 @@ class PercolationTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "PercolationTrace":
+        """Read back what ``to_json`` writes, and only that: the flags are JSON
+        booleans, the counts integers, ``running_time`` is the number of
+        batches, and each batch is a non-empty ascending list of pairs u < v.
+        A field of another type or shape raises ValueError or TypeError."""
         obj = json.loads(text)
-        steps = [[(int(u), int(v)) for u, v in batch] for batch in obj["steps"]]
-        return cls(
-            steps=steps,
-            running_time=int(obj["running_time"]),
-            percolated=bool(obj["percolated"]),
-            truncated=bool(obj["truncated"]),
-            final_edge_count=int(obj["final_edge_count"]),
-        )
+        steps = [_batch(batch) for batch in obj["steps"]]
+        trace = cls(steps, **{key: obj[key] for key in _SCALARS})
+        for key, kind in _SCALARS.items():
+            if type(getattr(trace, key)) is not kind:
+                raise ValueError(f"{key} must be a JSON {kind.__name__}")
+        if trace.running_time != len(steps):
+            raise ValueError(f"running_time {trace.running_time} but {len(steps)} batches")
+        if trace.final_edge_count < 0:
+            raise ValueError("final_edge_count must be non-negative")
+        return trace
+
+
+# the trace fields besides ``steps``, with their JSON types
+_SCALARS = {"running_time": int, "percolated": bool, "truncated": bool, "final_edge_count": int}
+
+
+def _batch(pairs: list) -> list[tuple[int, int]]:
+    """One batch of a trace file as ``run`` writes it, or ValueError."""
+    out: list[tuple[int, int]] = []
+    last = (-1, -1)
+    for u, v in pairs:
+        if type(u) is not int or type(v) is not int or not 0 <= u < v:
+            raise ValueError(f"pair {[u, v]} is not two integers 0 <= u < v")
+        if (u, v) <= last:
+            raise ValueError(f"pair {[u, v]} breaks its batch's ascending order")
+        last = (u, v)
+        out.append(last)
+    if not out:
+        raise ValueError("empty batch")
+    return out
 
 
 def _check_inputs(current: Graph, r: int, host: Graph) -> None:

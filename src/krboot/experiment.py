@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import constructions, engine, fileio, verify
 from .apsets import SOURCES, ApSet
-from .graphs import Graph, cone
+from .graphs import Graph
 
 CSV_FIELDS = [
     "family",
@@ -37,10 +37,6 @@ CSV_FIELDS = [
     "cond_ii",
     "wall_ms",
 ]
-
-FAMILIES = ("h6", "chain", "hb", "hB", "hprime", "minimal", "cone-of")
-DEFAULT_R = {"h6": 6, "chain": 5, "hb": 5, "hB": 5, "hprime": 5}
-SIMULATED = ("h6", "chain", "hprime", "minimal", "cone-of")
 
 
 @dataclass
@@ -116,19 +112,18 @@ def parse_config(path) -> ExperimentConfig:
     family = one("family")
     if family is None:
         raise ValueError(f"{path}: missing required key 'family'")
-    if family not in FAMILIES:
+    fam = constructions.FAMILIES.get(family)
+    if fam is None:
         raise ValueError(f"{at('family')}: unknown family {family!r}")
     output = one("output")
     if output is None:
         raise ValueError(f"{path}: missing required key 'output'")
     ns = ints("n")
-    if not ns and family != "cone-of":
+    if not ns and "input" not in fam.params:  # else swept at the input's order
         raise ValueError(f"{path}: at least one 'n' required")
-    r = one_int("r")
+    r = one_int("r", fam.default_r)
     if r is None:
-        if family not in DEFAULT_R:
-            raise ValueError(f"{at('family')}: family {family!r} needs an explicit 'r'")
-        r = DEFAULT_R[family]
+        raise ValueError(f"{at('family')}: family {family!r} needs an explicit 'r'")
     b_source = one("b_source", "digits3")
     if b_source != "explicit" and b_source not in SOURCES:
         raise ValueError(f"{at('b_source')}: unknown b_source {b_source!r}")
@@ -152,18 +147,18 @@ def parse_config(path) -> ExperimentConfig:
         max_steps=None if one("max_steps", "auto") == "auto" else one_int("max_steps"),
         jobs=one_int("jobs", 1),
     )
-    if cfg.family == "hb" and cfg.b is None:
-        raise ValueError(f"{at('family')}: family hb needs 'b'")
-    if cfg.family == "cone-of" and cfg.input is None:
-        raise ValueError(f"{at('family')}: family cone-of needs 'input'")
+    for key in ("b", "input"):
+        if key in fam.params and getattr(cfg, key) is None:
+            raise ValueError(f"{at('family')}: family {family} needs '{key}'")
     if cfg.jobs < 1:
         raise ValueError(f"{at('jobs')}: jobs must be >= 1")
+    read_by = constructions.read_by
     unread = [
-        ("b", family != "hb", "family hb"),
-        ("b_source", family not in ("hB", "hprime"), "families hB and hprime"),
+        ("b", "b" not in fam.params, read_by("b")),
+        ("b_source", "B" not in fam.params, read_by("B")),
         ("B", b_source != "explicit", "b_source explicit"),
-        ("input", family != "cone-of", "family cone-of"),
-        ("max_steps", family not in SIMULATED, "families that simulate"),
+        ("input", "input" not in fam.params, read_by("input")),
+        ("max_steps", "start" not in fam.parts, "families that simulate"),
     ]
     found = [(pairs[key][0][0], key, who) for key, off, who in unread if off and key in pairs]
     if found:
@@ -172,7 +167,10 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet:
+def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet | None:
+    """The slope set for point ``n``; None for a family that reads none."""
+    if "B" not in constructions.FAMILIES[cfg.family].params:
+        return None
     if cfg.b_source == "explicit":
         return ApSet(max(cfg.b_explicit), tuple(sorted(cfg.b_explicit)))
     bound = n // 40
@@ -190,11 +188,12 @@ def _point_cells(cfg: ExperimentConfig, n: int, slopes: ApSet | None) -> dict[st
     ``max_steps`` the engine budget for families that simulate, and ``input``
     the sha256 of the cone-of input file's bytes.
     """
+    fam = constructions.FAMILIES[cfg.family]
     if slopes is not None:
         b_cell = ";".join(map(str, slopes.elements))
     else:
-        b_cell = str(cfg.b) if cfg.family == "hb" else ""
-    simulated_budget = cfg.family in SIMULATED and cfg.max_steps is not None
+        b_cell = str(cfg.b) if "b" in fam.params else ""
+    simulated_budget = "start" in fam.parts and cfg.max_steps is not None
     return {
         "family": cfg.family,
         "n": str(n),
@@ -202,7 +201,7 @@ def _point_cells(cfg: ExperimentConfig, n: int, slopes: ApSet | None) -> dict[st
         "B_size": str(len(slopes.elements)) if slopes is not None else "",
         "B": b_cell,
         "max_steps": str(cfg.max_steps) if simulated_budget else "",
-        "input": _file_sha256(cfg.input) if cfg.family == "cone-of" else "",
+        "input": _file_sha256(cfg.input) if "input" in fam.params else "",
     }
 
 
@@ -211,63 +210,36 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _bool_cell(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def compute_row(
     cfg: ExperimentConfig, n: int, slopes: ApSet | None = None
 ) -> dict[str, str]:
-    """One sweep point.  Blank cells mean 'not applicable to this family'."""
+    """One sweep point: build, then cond (i), cond (ii) and ``engine.run``,
+    each on the part it needs when the family makes that part.  Blank cells
+    mean 'not applicable to this family'."""
     t0 = time.perf_counter()
-    if slopes is None and cfg.family in ("hB", "hprime"):
+    if slopes is None:
         slopes = _slopes_for(cfg, n)
     row = {key: "" for key in CSV_FIELDS}
     row.update(_point_cells(cfg, n, slopes))
 
-    def put_verify(h, f_pairs=None):
-        rep_i = verify.check_induced_free(h, cfg.r)
-        row["cond_i"] = "true" if rep_i.passed else "false"
-        if f_pairs is not None:
-            rep_ii = verify.check_pair_condition(h, f_pairs)
-            row["cond_ii"] = "true" if rep_ii.passed else "false"
-
-    def put_trace(start: Graph):
-        trace = engine.run(start, cfg.r, Graph.complete(start.n), max_steps=cfg.max_steps)
-        row["steps"] = str(trace.running_time)
-        row["percolated"] = "true" if trace.percolated else "false"
-
-    if cfg.family in ("h6", "chain", "hprime"):
-        if cfg.family == "h6":
-            c = constructions.build_h6(n)
-        elif cfg.family == "chain":
-            c = constructions.build_chain(n)
-        else:
-            c = constructions.build_hprime(n, slopes)
-        row["vertices"] = str(c.hypergraph.n)
-        row["start_edges"] = str(c.start.edge_count())
+    c = constructions.build(
+        cfg.family, n=n, m=n, b=cfg.b, B=slopes, r=cfg.r, input=cfg.input
+    )
+    row["vertices"] = str(c.vertices)
+    if c.hypergraph is not None:
         row["m"] = str(len(c.hypergraph.edges))
-        put_verify(c.hypergraph, c.f_pairs)
-        put_trace(c.start)
-    elif cfg.family == "hb":
-        h = constructions.build_hb(n, cfg.b)
-        row["vertices"] = str(h.n)
-        row["m"] = str(len(h.edges))
-        put_verify(h)
-    elif cfg.family == "hB":
-        h = constructions.build_hB(n, slopes)
-        row["vertices"] = str(h.n)
-        row["m"] = str(len(h.edges))
-        put_verify(h)
-    elif cfg.family == "minimal":
-        g = constructions.minimal_percolating(n, cfg.r)
-        row["vertices"] = str(n)
-        row["start_edges"] = str(g.edge_count())
-        put_trace(g)
-    elif cfg.family == "cone-of":
-        base = fileio.read_graph(cfg.input)
-        start = cone(base)
-        row["vertices"] = str(start.n)
-        row["start_edges"] = str(start.edge_count())
-        put_trace(start)
-    else:  # pragma: no cover - guarded by parse_config
-        raise ValueError(f"unknown family {cfg.family!r}")
+        row["cond_i"] = _bool_cell(verify.check_induced_free(c.hypergraph, cfg.r).passed)
+    if c.f_pairs is not None:
+        row["cond_ii"] = _bool_cell(verify.check_pair_condition(c.hypergraph, c.f_pairs).passed)
+    if c.start is not None:
+        row["start_edges"] = str(c.start.edge_count())
+        trace = engine.run(c.start, cfg.r, Graph.complete(c.start.n), max_steps=cfg.max_steps)
+        row["steps"] = str(trace.running_time)
+        row["percolated"] = _bool_cell(trace.percolated)
 
     row["wall_ms"] = str(round((time.perf_counter() - t0) * 1000))
     return row
@@ -301,10 +273,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
     done = _existing_keys(cfg.output)
     errors_path = cfg.output + ".errors.log"
 
-    if cfg.family == "cone-of":
-        points = [fileio.read_graph(cfg.input).n]
-    else:
-        points = list(cfg.ns)
+    fam = constructions.FAMILIES[cfg.family]
+    points = [fileio.read_graph(cfg.input).n] if "input" in fam.params else list(cfg.ns)
 
     write_header = not os.path.exists(cfg.output) or os.path.getsize(cfg.output) == 0
     new_rows: list[dict[str, str]] = []
@@ -330,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
         todo: list[tuple[int, ApSet | None]] = []
         for n in points:
             try:
-                slopes = _slopes_for(cfg, n) if cfg.family in ("hB", "hprime") else None
+                slopes = _slopes_for(cfg, n)
             except ValueError as exc:
                 emit(n, None, exc)
                 continue

@@ -144,7 +144,9 @@ class UniformHypergraph:
 
     Edges are stored as sorted tuples of distinct vertex ids, in the order
     given at construction.  ``labels`` optionally maps a vertex id to a
-    (block class, index) tag such as ("X", 3).
+    (block class, index) tag such as ("X", 3); the class must be a non-empty
+    str without whitespace and the index an int, so that the tag is two
+    fields of the file format.
     """
 
     __slots__ = ("n", "r", "edges", "labels")
@@ -171,9 +173,15 @@ class UniformHypergraph:
                 raise ValueError(f"edge {e!r} has vertex out of range [0, {n})")
             self.edges.append(t)
         self.labels: dict[int, tuple[str, int]] = dict(labels) if labels else {}
-        for v in self.labels:
+        for v, (cls, idx) in self.labels.items():
             if not 0 <= v < n:
                 raise ValueError(f"label on unknown vertex {v}")
+            if not isinstance(cls, str) or cls.split() != [cls]:
+                raise ValueError(
+                    f"label class {cls!r} must be a non-empty str without whitespace"
+                )
+            if type(idx) is not int:
+                raise ValueError(f"label index {idx!r} must be an int")
 
     def edge_count(self) -> int:
         return len(self.edges)

@@ -58,10 +58,9 @@ def check_induced_free(
     candidate of the least failing triple, and ``verbose`` lists every
     failing candidate once, in the order of its least triple.
 
-    ``stats["cliques"]`` counts the (r-2)-cliques of the skeleton and
-    ``stats["candidates"]`` the triples (on a failing non-verbose call, those
-    up to and including the witness).  ``stats["pairs"]`` counts the pairs in
-    lexicographic order up to the witness pair, all C(n, 2) otherwise.
+    ``stats["cliques"]`` counts the (r-2)-cliques of the skeleton,
+    ``stats["candidates"]`` the triples and ``stats["pairs"]`` the C(n, 2)
+    vertex pairs; all three are the same with or without ``verbose``.
     """
     if h.r != r:
         raise ValueError(f"hypergraph is {h.r}-uniform, expected {r}")
@@ -87,20 +86,9 @@ def check_induced_free(
     witness = tuple(sorted(wq + (wu, wv)))
     if verbose:
         failures = list(dict.fromkeys(tuple(sorted(q + (u, v))) for u, v, q in bad))
-        return VerificationReport(False, witness, "near-clique", stats, failures)
-    # (wu, wv) is pair number wu(n-1) - C(wu,2) + (wv-wu) in order
-    stats["pairs"] = wu * (n - 1) - wu * (wu - 1) // 2 + wv - wu
-    stats["candidates"] = 0
-    for clique, common in _near_cliques(skel, r - 2):
-        # triples up to (wu, wv, wq): every pair with u < wu, then (wu, v)
-        # for v < wv, and (wu, wv) itself when the clique is at most wq
-        for u in iter_bits(common & ((1 << wu) - 1)):
-            stats["candidates"] += (common >> (u + 1)).bit_count()
-        if common >> wu & 1:
-            upto = wv if clique > wq else wv + 1
-            below = common & ((1 << upto) - 1)
-            stats["candidates"] += (below >> (wu + 1)).bit_count()
-    return VerificationReport(False, witness, "near-clique", stats, [witness])
+    else:
+        failures = [witness]
+    return VerificationReport(False, witness, "near-clique", stats, failures)
 
 
 def check_pair_condition(

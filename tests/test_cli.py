@@ -153,6 +153,29 @@ def test_construct_missing_flag_is_usage_error(tmp_path, capsys):
     assert "requires --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--family", "h6", "--n", "10", "--b", "3", "--B", "junk", "--r", "9"],
+         "--b is only read by family hb"),
+        (["--family", "chain", "--m", "3", "--n", "3"],
+         "--n is only read by families h6, hb, hB, hprime and minimal"),
+        (["--family", "hprime", "--n", "100", "--B", "10", "--m", "2"],
+         "--m is only read by family chain"),
+        (["--family", "hb", "--n", "20", "--b", "3", "--B", "10"],
+         "--B is only read by families hB and hprime"),
+        (["--family", "cone-of", "--input", "g.txt", "--r", "5"],
+         "--r is only read by family minimal"),
+        (["--family", "minimal", "--n", "7", "--r", "4", "--input", "g.txt"],
+         "--input is only read by family cone-of"),
+    ],
+)
+def test_construct_rejects_flags_the_family_never_reads(tmp_path, capsys, flags, message):
+    assert run_cli("construct", *flags, "--out-prefix", str(tmp_path / "x")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_bad_slope_list(tmp_path, capsys):
     code = run_cli(
         "construct", "--family", "hB", "--n", "100", "--B", "10,oops",

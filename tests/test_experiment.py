@@ -7,7 +7,8 @@ import pytest
 
 from krboot import fileio
 from krboot.apsets import ApSet
-from krboot.constructions import minimal_percolating
+from krboot.constructions import FAMILIES, build, minimal_percolating
+from krboot.engine import run
 from krboot.experiment import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from krboot.experiment import (
     run_experiment,
 )
 from krboot.graphs import Graph
+from krboot.verify import check_induced_free, check_pair_condition
 
 
 def write_cfg(tmp_path, text):
@@ -163,6 +165,45 @@ def test_compute_row_minimal_and_cone(tmp_path):
     )
     row2 = compute_row(cfg2, 7)
     assert row2["vertices"] == "7" and row2["steps"] == "1"
+
+
+# one small point per family: (n, r, other config fields)
+TABLE_POINTS = {
+    "h6": (20, 6, {}),
+    "chain": (3, 5, {}),
+    "hb": (100, 5, {"b": 10}),
+    "hB": (100, 5, {"b_source": "explicit", "b_explicit": [10, 20]}),
+    "hprime": (100, 5, {"b_source": "explicit", "b_explicit": [10, 20]}),
+    "minimal": (7, 4, {}),
+    "cone-of": (6, 5, {"input": "base.txt"}),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_compute_row_cells_are_the_built_parts(tmp_path, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    fileio.write_graph(minimal_percolating(6, 4), "base.txt")
+    n, r, extra = TABLE_POINTS[family]
+    cfg = ExperimentConfig(family=family, ns=[n], r=r, output="o.csv", **extra)
+    row = compute_row(cfg, n)
+
+    c = build(family, n=n, m=n, b=cfg.b, B=_slopes_for(cfg, n), r=r, input=cfg.input)
+    parts = ("hypergraph", "f_pairs", "skeleton", "start")
+    assert tuple(p for p in parts if getattr(c, p) is not None) == FAMILIES[family].parts
+    want = dict.fromkeys(("m", "cond_i", "cond_ii", "start_edges", "steps", "percolated"), "")
+    want["vertices"] = str(c.vertices)
+    if c.hypergraph is not None:
+        want["m"] = str(len(c.hypergraph.edges))
+        want["cond_i"] = str(check_induced_free(c.hypergraph, r).passed).lower()
+    if c.f_pairs is not None:
+        want["cond_ii"] = str(check_pair_condition(c.hypergraph, c.f_pairs).passed).lower()
+    if c.start is not None:
+        trace = run(c.start, r, Graph.complete(c.start.n))
+        want["start_edges"] = str(c.start.edge_count())
+        want["steps"] = str(trace.running_time)
+        want["percolated"] = str(trace.percolated).lower()
+    assert {cell: row[cell] for cell in want} == want
+    assert (row["family"], row["n"], row["r"]) == (family, str(n), str(r))
 
 
 def test_row_invariant_flags_short_runs():

@@ -313,10 +313,13 @@ def apsets(draw):
 
 @st.composite
 def traces(draw):
+    """Traces as ``run`` writes them: one non-empty ascending batch per step."""
     pair = st.tuples(st.integers(0, 30), st.integers(31, 60))
+    steps = draw(st.lists(st.lists(pair, min_size=1, max_size=4, unique=True).map(sorted),
+                          max_size=5))
     return PercolationTrace(
-        steps=draw(st.lists(st.lists(pair, max_size=4), max_size=5)),
-        running_time=draw(st.integers(0, 10)),
+        steps=steps,
+        running_time=len(steps),
         percolated=draw(st.booleans()),
         truncated=draw(st.booleans()),
         final_edge_count=draw(st.integers(0, 500)),
@@ -348,6 +351,23 @@ def test_every_format_round_trips(name, data):
 
 # no digits, so never an integer; no whitespace, so never a field boundary
 junk = st.text("xq.-+_#", min_size=1, max_size=4)
+
+# label classes that are not one field of a label line
+unwritable_classes = st.one_of(
+    st.text("XY \t\n\x85", max_size=4).filter(lambda c: c.split() != [c]),
+    st.integers(),
+    st.none(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(labelled=True), unwritable_classes, st.data())
+def test_a_label_class_that_cannot_be_read_back_is_refused(h, cls, data):
+    v = data.draw(st.sampled_from(sorted(h.labels)))
+    with pytest.raises(ValueError, match="label class .* must be a non-empty str"):
+        UniformHypergraph(h.n, h.r, h.edges, {**h.labels, v: (cls, 0)})
+    with pytest.raises(ValueError, match="label index"):
+        UniformHypergraph(h.n, h.r, h.edges, {**h.labels, v: ("X", str(v))})
 
 
 @settings(max_examples=150, deadline=None)
@@ -403,6 +423,28 @@ def test_a_malformed_trace_is_named(trace, data):
         ' "truncated": false, "final_edge_count": 3}',  # a pair of three
         '{"steps": [], "running_time": "x", "percolated": true,'
         ' "truncated": false, "final_edge_count": 3}',  # non-integer time
+        '{"steps": [], "running_time": 0, "percolated": "false",'
+        ' "truncated": false, "final_edge_count": 3}',  # a string flag
+        '{"steps": [], "running_time": 0, "percolated": false,'
+        ' "truncated": 0, "final_edge_count": 3}',  # an integer flag
+        '{"steps": [], "running_time": false, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # a boolean count
+        '{"steps": [], "running_time": 0, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3.0}',  # a float count
+        '{"steps": [], "running_time": 0, "percolated": false,'
+        ' "truncated": false, "final_edge_count": -1}',  # a negative count
+        '{"steps": [[[0.7, "2"]]], "running_time": 1, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # a pair of a float and a string
+        '{"steps": [[[2, 1]]], "running_time": 1, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # a pair written v u
+        '{"steps": [[[1, 2], [0, 3]]], "running_time": 1, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # a batch out of order
+        '{"steps": [[[0, 3], [0, 3]]], "running_time": 1, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # a pair twice
+        '{"steps": [[]], "running_time": 1, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # an empty batch
+        '{"steps": [[[0, 3]]], "running_time": 2, "percolated": false,'
+        ' "truncated": false, "final_edge_count": 3}',  # time is not the batch count
     ],
 )
 def test_trace_with_bad_fields_is_named(tmp_path, text):

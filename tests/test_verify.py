@@ -126,25 +126,28 @@ def test_induced_free_equals_all_pairs_sweep():
     cases += [(build_h6(20).hypergraph, 6), (OVERLAP3, 5)]
     failing = 0
     for h, r in cases:
+        _, _, _, candidates, pairs = all_pairs_sweep(h, r, True)
+        stats = {"pairs": pairs, "cliques": clique_count(h, r - 2), "candidates": candidates}
         for verbose in (False, True):
             rep = check_induced_free(h, r, verbose)
-            passed, witness, failures, candidates, pairs = all_pairs_sweep(h, r, verbose)
+            passed, witness, failures, _, _ = all_pairs_sweep(h, r, verbose)
             assert (rep.passed, rep.witness, rep.failures) == (passed, witness, failures)
-            assert rep.stats["candidates"] == candidates
-            if not verbose:
-                assert rep.stats["pairs"] == pairs
-            assert rep.stats["cliques"] == clique_count(h, r - 2)
+            # failing or not, verbose or not: the whole enumeration is counted
+            assert rep.stats == stats
         failing += not rep.passed
     assert failing >= 10
 
 
-def test_induced_free_pairs_count_up_to_the_witness():
+def test_induced_free_stats_count_the_whole_enumeration():
     rep = check_induced_free(OVERLAP3, 5)
-    # the sweep stops at (0, 5), the 5th pair of 7 vertices in lexicographic order
     assert rep.witness == (0, 2, 3, 4, 5)
-    assert rep.stats["pairs"] == 5 == all_pairs_sweep(OVERLAP3, 5, False)[4]
     full = check_induced_free(OVERLAP3, 5, verbose=True)
+    assert rep.stats == full.stats
+    # all C(7, 2) pairs; the triangle 234 has common neighbourhood 0156
+    # (6 pairs), and each of the other 18 triangles lies in one K_5 and has
+    # two common neighbours (1 pair)
     assert full.stats["pairs"] == 21
+    assert full.stats["candidates"] == 18 + 6 == all_pairs_sweep(OVERLAP3, 5, True)[3]
     # two K_5 sharing the triangle 234 hold 10 + 10 - 1 triangles
     assert full.stats["cliques"] == 19 == clique_count(OVERLAP3, 3)
     # isolated vertex 7 adds 7 pairs to the sweep but no clique
