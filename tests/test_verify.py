@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from krboot.apsets import ApSet
-from krboot.constructions import ConstructionOutput, build_chain, build_h6, build_hprime
+from krboot.apsets import ApSet, ap_digits3
+from krboot.constructions import (
+    ConstructionOutput,
+    build_chain,
+    build_h6,
+    build_hB,
+    build_hprime,
+)
 from krboot.graphs import UniformHypergraph, cliques_in_subset, two_skeleton
 from krboot.verify import (
     check_ap_free,
@@ -153,6 +160,28 @@ def test_induced_free_stats_count_the_whole_enumeration():
     # isolated vertex 7 adds 7 pairs to the sweep but no clique
     iso = check_induced_free(UniformHypergraph(8, 5, OVERLAP3.edges), 5, verbose=True)
     assert iso.stats["pairs"] == 28 and iso.stats["cliques"] == full.stats["cliques"]
+
+
+def test_induced_free_report_is_pinned_on_a_scaffold():
+    # hprime n=400 with the sweep's digits3 slopes 10*{1,2,4,5}: every
+    # (r-2)-clique has exactly one pair in its common neighbourhood
+    reduced = ap_digits3(10)
+    slopes = ApSet(10 * reduced.n, tuple(10 * b for b in reduced.elements))
+    rep = check_induced_free(build_hprime(400, slopes).hypergraph, 5)
+    assert (rep.passed, rep.witness, rep.failures) == (True, None, [])
+    assert rep.stats == {"pairs": 748476, "cliques": 13570, "candidates": 13570}
+
+
+def test_induced_free_failing_report_is_pinned():
+    # the slopes {1, 2, 3} form a progression, so the chains' skeletons meet
+    rep = check_induced_free(build_hB(10, ApSet(3, (1, 2, 3))), 5, verbose=True)
+    assert not rep.passed and rep.witness_kind == "near-clique"
+    assert rep.witness == (0, 1, 13, 25, 26) == rep.failures[0]
+    assert rep.failures[1:4] == [(0, 1, 14, 26, 27), (0, 1, 14, 27, 28), (0, 1, 2, 13, 25)]
+    assert len(rep.failures) == 328
+    digest = hashlib.sha256(repr(rep.failures).encode()).hexdigest()
+    assert digest == "62033c4996c1f5f9571270164dcf65f8f2b5e49bef85bb0b78df48e5b5702c5a"
+    assert rep.stats == {"pairs": 528, "cliques": 202, "candidates": 760}
 
 
 def test_pair_condition_passes_on_builders():
