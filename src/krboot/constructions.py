@@ -170,8 +170,8 @@ def build_hb(n: int, b: int) -> UniformHypergraph:
 def build_hB(n: int, B: ApSet) -> UniformHypergraph:
     """Union of slope-b chains for every b in B, grouped by ascending slope."""
     for b in B.elements:
-        if not 1 <= b <= n // 2 - 1:
-            raise ValueError(f"slope {b} outside [1, {n // 2 - 1}]")
+        if not 1 <= b <= (n - 1) // 2:
+            raise ValueError(f"slope {b} outside [1, {(n - 1) // 2}]")
     edges: list[tuple[int, ...]] = []
     for b in B.elements:
         edges.extend(_hb_edges(n, b, 0, n - 2 * b))

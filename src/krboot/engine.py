@@ -3,16 +3,23 @@ creates a new K_r, one simultaneous batch per step, until nothing changes.
 
 An absent edge (u, v) is eligible exactly when the common neighbourhood of u
 and v in the current graph contains an (r-2)-clique: that clique plus u, v and
-the new edge is a fresh K_r.  Two kernel entry points apply this rule:
+the new edge is a fresh K_r.  Three kernel entry points apply this rule:
 
-- ``eligible`` checks candidate rows.  ``step_kr``, ``run``'s first step and
-  its bail-out full scan take them from ``graphs.partner_rows``: each vertex's
-  non-adjacent host partners above it, cut to those with at least r-2 common
-  neighbours when that cut is cheaper than the pairs it removes.
+- ``start_scan`` is the clique-first start scan of ``step_kr`` and of
+  ``run``'s first step.  It turns the rule around: it enumerates each
+  (r-2)-clique Q once with ``graphs.near_cliques`` and takes the non-adjacent
+  host pairs inside the AND of Q's rows.  Its budget is the host edges still
+  missing, against a deterministic count of the cliques visited and the pairs
+  taken; past it, the scan falls back to the row scan.
+- ``eligible`` is the row scan: it checks candidate rows, taken from
+  ``graphs.partner_rows``: each vertex's non-adjacent host partners above it,
+  cut to those with at least r-2 common neighbours when that cut is cheaper
+  than the pairs it removes.  It is ``start_scan``'s fallback and ``run``'s
+  bail-out full scan.
 - ``eligible_after`` is the anchored step: after a batch, a newly eligible
   pair closes a K_r through some batch edge, so it searches only around the
   batch edges.  ``run`` takes it unless its estimated cost exceeds the host
-  edges still missing, and then falls back to the full scan.
+  edges still missing, and then falls back to the row scan.
 
 Every route gives the same batch.
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
@@ -25,7 +32,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import Graph, has_clique_rows, iter_bits, partner_rows
+from .graphs import (
+    Graph,
+    OverBudget,
+    has_clique_rows,
+    iter_bits,
+    near_cliques,
+    partner_rows,
+)
 
 
 @dataclass
@@ -104,19 +118,54 @@ def _check_inputs(current: Graph, r: int, host: Graph) -> None:
 
 
 def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
-    """One synchronous step: all host edges whose insertion creates a new K_r."""
+    """One synchronous step: all host edges whose insertion creates a new K_r.
+
+    This is ``start_scan`` with the host edges still missing as its budget."""
     _check_inputs(current, r, host)
-    return eligible(current.adj, r, partner_rows(current.adj, host.adj, r - 2))
+    missing = host.edge_count() - current.edge_count()
+    return start_scan(current.adj, host.adj, r, missing)
+
+
+def start_scan(
+    adj: list[int], host_adj: list[int], r: int, budget: int
+) -> list[tuple[int, int]]:
+    """The clique-first start scan: the host pairs eligible in ``adj``, sorted.
+
+    It enumerates each (r-2)-clique Q once (``graphs.near_cliques``) and
+    collects the non-adjacent host pairs inside the AND of Q's rows.  Two
+    work counts run against ``budget``: the partial and whole cliques the
+    enumeration visits, and the sizes of the ANDs plus the partners taken
+    from them, which grow quadratically in a dense common neighbourhood.
+    Once either passes ``budget``, the scan is abandoned for the row scan,
+    ``eligible`` over ``graphs.partner_rows``; both give the same batch.
+    """
+    k = r - 2
+    found: set[tuple[int, int]] = set()
+    work = 0
+    try:
+        for _, common in near_cliques(adj, k, budget=budget):
+            work += common.bit_count()
+            for a in iter_bits(common):
+                if work > budget:
+                    raise OverBudget
+                partners = (common & host_adj[a] & ~adj[a]) >> (a + 1)
+                work += partners.bit_count()
+                for b in iter_bits(partners):
+                    found.add((a, a + 1 + b))
+    except OverBudget:
+        return eligible(adj, r, partner_rows(adj, host_adj, k))
+    return sorted(found)
 
 
 def eligible(
     adj: list[int], r: int, rows: Iterable[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """The row-scan kernel: pairs (u, v) from ``rows`` whose edge closes a K_r.
+    """The row scan: pairs (u, v) from ``rows`` whose edge closes a K_r.
 
     ``rows`` yields ``(u, mask of candidate partners)`` in ascending u, from
-    ``graphs.partner_rows`` or from a host's own rows, ``enumerate(host.adj)``,
-    which are a full scan.  Partners v <= u and pairs already in ``adj`` are
+    ``graphs.partner_rows`` (``start_scan``'s fallback and ``run``'s bail-out
+    scans) or from a host's own rows, ``enumerate(host.adj)``, which are a
+    full scan.  Partners v <= u and pairs already in ``adj`` are
     dropped here, and each pair needs r-2 common neighbours, so a mask may
     hold more than the eligible partners but must hold all of them.  The
     batch comes out sorted.
@@ -212,7 +261,7 @@ def run(
     adj = current.adj
     missing = host.edge_count() - start.edge_count()
     steps: list[list[tuple[int, int]]] = []
-    batch = eligible(adj, r, partner_rows(adj, host.adj, r - 2))
+    batch = start_scan(adj, host.adj, r, missing)
     truncated = False
     # an empty batch means stabilized; never truncated, even at the exact budget
     while batch:

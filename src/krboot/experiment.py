@@ -154,6 +154,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ValueError(f"{at('jobs')}: jobs must be >= 1")
     read_by = constructions.read_by
     unread = [
+        # a family built from an input file is swept at the input's order
+        ("n", "input" in fam.params, "families built without an input"),
         ("b", "b" not in fam.params, read_by("b")),
         ("b_source", "B" not in fam.params, read_by("B")),
         ("B", b_source != "explicit", "b_source explicit"),

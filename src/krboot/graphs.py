@@ -220,34 +220,60 @@ def cone(g: Graph) -> Graph:
     return out
 
 
-def cliques_in_subset(g: Graph, candidates: int, k: int) -> list[tuple[int, ...]]:
-    """All k-cliques of ``g`` inside the vertex bitmask ``candidates``.
+class OverBudget(Exception):
+    """Raised by ``near_cliques`` once its work passes the budget it was given."""
 
-    Returned as ascending tuples in lexicographic order.  k = 0 yields the
-    single empty clique.
+
+def near_cliques(
+    adj: list[int], k: int, within: int | None = None, budget: int | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each k-clique Q inside the vertex bitmask ``within`` (default: all
+    vertices) of the graph whose rows are ``adj``, with ``within`` ANDed with
+    Q's rows: the vertices of ``within`` adjacent to all of Q.
+
+    Q comes out ascending and the cliques in lexicographic order; k = 0 yields
+    the empty clique with ``within`` itself.  Q grows from its least vertex,
+    and the AND is carried down: a partial clique's AND holds exactly the
+    vertices that extend it, so its bits above Q's last vertex are the next
+    candidates, and a partial clique with fewer of them than it still needs
+    is dropped.  The AND never holds Q's own vertices (rows hold no loops).
+
+    With a ``budget``, each partial or whole clique visited costs one unit,
+    and the generator raises ``OverBudget`` once it has spent more.
     """
     if k < 0:
         raise ValueError("clique size must be non-negative")
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    if within is None:
+        within = (1 << len(adj)) - 1
+    spent = 0
 
-    def extend(mask: int, need: int) -> None:
-        if need == 0:
-            out.append(tuple(prefix))
-            return
+    def extend(prefix, common, start, need):
+        nonlocal spent
+        mask = common >> start << start
         while mask:
             low = mask & -mask
             v = low.bit_length() - 1
             mask ^= low
-            # only bits above v remain in mask, so order stays lexicographic
-            rest = mask & g.adj[v]
-            if rest.bit_count() >= need - 1:
-                prefix.append(v)
-                extend(rest, need - 1)
-                prefix.pop()
+            c = common & adj[v]
+            if budget is not None:
+                spent += 1
+                if spent > budget:
+                    raise OverBudget
+            if need == 1:
+                yield prefix + (v,), c
+            elif (c >> (v + 1)).bit_count() >= need - 1:
+                yield from extend(prefix + (v,), c, v + 1, need - 1)
 
-    extend(candidates, k)
-    return out
+    if k == 0:
+        yield (), within
+    else:
+        yield from extend((), within, 0, k)
+
+
+def cliques_in_subset(g: Graph, candidates: int, k: int) -> list[tuple[int, ...]]:
+    """All k-cliques of ``g`` inside the vertex bitmask ``candidates``, as
+    ascending tuples in lexicographic order.  k = 0 gives the empty clique."""
+    return [q for q, _ in near_cliques(g.adj, k, candidates)]
 
 
 def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:

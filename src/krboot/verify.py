@@ -9,9 +9,9 @@ one (the final pair only in its own).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .graphs import Graph, UniformHypergraph, cliques_in_subset, iter_bits, two_skeleton
+from .graphs import UniformHypergraph, iter_bits, near_cliques, two_skeleton
 
 if TYPE_CHECKING:  # pragma: no cover
     from .apsets import ApSet
@@ -27,21 +27,6 @@ class VerificationReport:
     failures: list[tuple] = field(default_factory=list)  # filled in verbose mode
 
 
-def _near_cliques(skel: Graph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Each k-clique Q of ``skel`` (k >= 1) with the AND of its rows, Q ascending.
-
-    Q is its least vertex x plus a (k-1)-clique of x's higher neighbours, so
-    every clique comes out once.  The AND excludes Q itself (rows hold no loops).
-    """
-    adj = skel.adj
-    for x, row in enumerate(adj):
-        for rest in cliques_in_subset(skel, row >> (x + 1) << (x + 1), k - 1):
-            common = row
-            for y in rest:
-                common &= adj[y]
-            yield (x,) + rest, common
-
-
 def check_induced_free(
     h: UniformHypergraph, r: int, verbose: bool = False
 ) -> VerificationReport:
@@ -49,14 +34,14 @@ def check_induced_free(
 
     An r-set spanning at least C(r,2) - 1 skeleton edges is an (r-2)-clique Q
     plus a pair {u, v} from Q's common neighbourhood, with {u, v} the one
-    possibly-missing pair.  So the check enumerates each (r-2)-clique Q once
-    and takes every pair u < v of the AND of Q's rows: the candidate
-    Q + {u, v} must equal some hyperedge's vertex set.  These (u, v, Q)
-    triples are exactly those of a sweep over vertex pairs in ascending order
-    that lists each pair's common-neighbourhood cliques in lexicographic
-    order, and the report keeps that sweep's order: the witness is the
-    candidate of the least failing triple, and ``verbose`` lists every
-    failing candidate once, in the order of its least triple.
+    possibly-missing pair.  So the check enumerates each (r-2)-clique Q once,
+    with ``graphs.near_cliques``, and takes every pair u < v of the AND of
+    Q's rows: the candidate Q + {u, v} must equal some hyperedge's vertex
+    set.  These (u, v, Q) triples are exactly those of a sweep over vertex
+    pairs in ascending order that lists each pair's common-neighbourhood
+    cliques in lexicographic order, and the report keeps that sweep's order:
+    the witness is the candidate of the least failing triple, and ``verbose``
+    lists every failing candidate once, in the order of its least triple.
 
     ``stats["cliques"]`` counts the (r-2)-cliques of the skeleton,
     ``stats["candidates"]`` the triples and ``stats["pairs"]`` the C(n, 2)
@@ -71,7 +56,7 @@ def check_induced_free(
     edge_sets = set(h.edges)
     stats = {"pairs": n * (n - 1) // 2, "cliques": 0, "candidates": 0}
     bad: list[tuple[int, int, tuple[int, ...]]] = []
-    for clique, common in _near_cliques(skel, r - 2):
+    for clique, common in near_cliques(skel.adj, r - 2):
         stats["cliques"] += 1
         for u in iter_bits(common):
             for v in iter_bits(common >> (u + 1)):

@@ -171,8 +171,25 @@ def test_hB_unions_slopes_in_ascending_groups():
 
 
 def test_hB_rejects_out_of_range_slope():
-    with pytest.raises(ValueError):
-        build_hB(100, ApSet(50, (50,)))  # beyond n/2 - 1
+    with pytest.raises(ValueError, match=r"slope 50 outside \[1, 49\]"):
+        build_hB(100, ApSet(50, (50,)))  # beyond (n - 1) / 2
+
+
+@pytest.mark.parametrize("n", [8, 9, 20, 21])
+def test_hb_and_hB_accept_the_same_slopes(n):
+    # the steepest chain's one edge (x0, x0+1, y0+b, z0+2b, z0+2b+1) fits
+    # whenever n - 2b >= 1, for odd and even n alike
+    accepted = []
+    for b in range(1, n + 1):
+        try:
+            h = build_hb(n, b)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"slope {b} outside"):
+                build_hB(n, ApSet(b, (b,)))
+            continue
+        assert build_hB(n, ApSet(b, (b,))).edges == h.edges
+        accepted.append(b)
+    assert accepted == list(range(1, (n - 1) // 2 + 1))
 
 
 # ---------------------------------------------------------------- hprime

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krboot import engine
-from krboot.constructions import build_chain, minimal_percolating
+from krboot.apsets import ApSet, ap_digits3
+from krboot.constructions import build_chain, build_h6, build_hprime, minimal_percolating
 from krboot.engine import (
     PercolationTrace,
     eligible,
@@ -16,6 +18,7 @@ from krboot.engine import (
     replay,
     run,
     run_oracle,
+    start_scan,
     step_kr,
 )
 from krboot.graphs import Graph, cone, iter_bits, partner_rows
@@ -268,6 +271,62 @@ def test_anchored_step_equals_full_scan_after_every_batch(instance):
     assert run(start, r, host).to_json() == run_oracle(start, r, host).to_json()
 
 
+@st.composite
+def scan_instances(draw):
+    """A graph on 0..30 vertices from sparse to nearly complete, a host
+    holding it, and r in 3..6."""
+    n = draw(st.integers(0, 30))
+    r = draw(st.integers(3, 6))
+    p = draw(st.sampled_from([0.05, 0.2, 0.4, 0.7, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g, host = Graph(n), Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            g.add_edge(u, v)
+        if g.has_edge(u, v) or rng.random() < 0.8:
+            host.add_edge(u, v)
+    return g, r, host
+
+
+def row_scans(fn, *args):
+    """``fn(*args)`` and how many row scans (``engine.eligible`` calls) it made."""
+    with mock.patch.object(engine, "eligible", wraps=engine.eligible) as spy:
+        out = fn(*args)
+    return out, spy.call_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_instances())
+def test_start_scan_equals_row_scan_on_both_paths(instance):
+    g, r, host = instance
+    expected = eligible(g.adj, r, enumerate(host.adj))
+    # budget 0: the first clique visited is over it, so the row scan runs
+    assert row_scans(start_scan, g.adj, host.adj, r, 0) == (expected, min(g.n, 1))
+    # no budget the scan can reach: clique-first to the end
+    assert row_scans(start_scan, g.adj, host.adj, r, 2**64) == (expected, 0)
+
+
+def test_step_kr_on_complete_graph_falls_back_at_once():
+    # no host edge is missing, so the budget is 0
+    for n, r in ((1, 3), (12, 3), (60, 4), (30, 6)):
+        k = Graph.complete(n)
+        assert row_scans(step_kr, k, r, k) == ([], 1)
+
+
+def test_step_kr_falls_back_on_a_dense_start():
+    # the clique {0, 1} has the 38-vertex hole as its AND, which costs
+    # 38 + C(38, 2) units against a budget of the C(38, 2) missing pairs
+    g = minimal_percolating(40, 4)
+    batch = [e for e in itertools.combinations(range(40), 2) if not g.has_edge(*e)]
+    assert row_scans(step_kr, g, 4, Graph.complete(40)) == (batch, 1)
+
+
+def test_step_kr_takes_the_cliques_on_a_scaffold_start():
+    c = build_chain(20)
+    host = Graph.complete(c.hypergraph.n)
+    assert row_scans(step_kr, c.start, 5, host) == ([c.f_pairs[0]], 0)
+
+
 def anchored_after(edges, n, r, batch):
     """``eligible_after`` in K_n once ``batch`` is added to ``edges``."""
     g = Graph.from_edges(n, list(edges) + list(batch))
@@ -373,3 +432,17 @@ def test_trace_json_round_trip():
     again = PercolationTrace.from_json(t.to_json())
     assert again == t
     assert again.to_json() == t.to_json()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family, n", [("hprime", 1600), ("h6", 1000)])
+def test_large_scaffolds_replay_one_pair_per_step(family, n):
+    # the sizes where the start scan used to be most of the replay
+    if family == "h6":
+        c, r = build_h6(n), 6
+    else:  # the sweep's slopes: digits3 on n // 40, scaled by 10
+        reduced = ap_digits3(n // 40)
+        slopes = ApSet(10 * reduced.n, tuple(10 * b for b in reduced.elements))
+        c, r = build_hprime(n, slopes), 5
+    trace = run(c.start, r, Graph.complete(c.hypergraph.n))
+    assert trace.steps == [[f] for f in c.f_pairs]

@@ -96,6 +96,8 @@ def test_parse_config_explicit_slopes(tmp_path):
          r"sweep\.cfg:3: key 'B' is only read by b_source explicit"),
         ("family chain\nn 1\ninput x.txt\noutput o.csv\n",
          r"sweep\.cfg:3: key 'input' is only read by family cone-of"),
+        ("family cone-of\ninput base.txt\nn 5\nr 7\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'n' is only read by families built without an input"),
         ("family hB\nn 100\nmax_steps 5\noutput o.csv\n",
          r"sweep\.cfg:3: key 'max_steps' is only read by families that simulate"),
     ],

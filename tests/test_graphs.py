@@ -7,10 +7,12 @@ import pytest
 
 from krboot.graphs import (
     Graph,
+    OverBudget,
     UniformHypergraph,
     cliques_in_subset,
     cone,
     has_clique_rows,
+    near_cliques,
     pair,
     two_skeleton,
 )
@@ -181,3 +183,38 @@ def test_cliques_match_brute_force_on_random_graphs():
             expect = brute_cliques(g, mask, k)
             assert cliques_in_subset(g, mask, k) == expect
             assert has_clique_rows(g.adj, mask, k) == bool(expect or k == 0)
+
+
+def test_near_cliques_carry_the_and_of_their_rows():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n)
+        mask = rng.getrandbits(n)
+        for k in range(0, 5):
+            expect = []
+            for q in brute_cliques(g, mask, k):
+                common = mask
+                for v in q:
+                    common &= g.adj[v]
+                expect.append((q, common))
+            assert list(near_cliques(g.adj, k, mask)) == expect
+    k4 = Graph.complete(4)
+    assert list(near_cliques(k4.adj, 3))[0] == ((0, 1, 2), 0b1000)
+
+
+def test_near_cliques_stop_past_their_budget():
+    # K_4's triangles visit 0, 01, 012, 013, 02, 023, 03, then 1, 12, 123,
+    # 13, then 2 and 3: 13 partial and whole cliques, the 10th being 123
+    k4 = Graph.complete(4)
+    assert len(list(near_cliques(k4.adj, 3, budget=13))) == 4
+    with pytest.raises(OverBudget):
+        list(near_cliques(k4.adj, 3, budget=12))
+    gen = near_cliques(k4.adj, 3, budget=9)
+    assert [q for q, _ in itertools.islice(gen, 3)] == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+    with pytest.raises(OverBudget):
+        next(gen)
+    with pytest.raises(OverBudget):
+        next(near_cliques(k4.adj, 1, budget=0))
+    with pytest.raises(ValueError):
+        next(near_cliques(k4.adj, -1))
