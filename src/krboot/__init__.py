@@ -21,7 +21,6 @@ from .engine import PercolationTrace, replay, run, run_oracle, step_kr
 from .graphs import (
     Graph,
     UniformHypergraph,
-    cliques_in_subset,
     cone,
     pair,
     two_skeleton,
@@ -58,7 +57,6 @@ __all__ = [
     "check_induced_free",
     "check_pair_condition",
     "check_residue_lemma",
-    "cliques_in_subset",
     "cone",
     "max_running_time",
     "max_running_time_sampled",

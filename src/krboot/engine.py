@@ -9,8 +9,9 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
   ``run``'s first step.  It turns the rule around: it enumerates each
   (r-2)-clique Q once with ``graphs.near_cliques`` and takes the non-adjacent
   host pairs inside the AND of Q's rows.  Its budget is the host edges still
-  missing, against a deterministic count of the cliques visited and the pairs
-  taken; past it, the scan falls back to the row scan.
+  missing, against a deterministic count of the cliques visited and of the
+  pairs each AND could give, charged before any pair is taken from it; past
+  it, the scan falls back to the row scan.
 - ``eligible`` is the row scan: it checks candidate rows, taken from
   ``graphs.partner_rows``: each vertex's non-adjacent host partners above it,
   cut to those with at least r-2 common neighbours when that cut is cheaper
@@ -134,26 +135,35 @@ def start_scan(
     It enumerates each (r-2)-clique Q once (``graphs.near_cliques``) and
     collects the non-adjacent host pairs inside the AND of Q's rows.  Two
     work counts run against ``budget``: the partial and whole cliques the
-    enumeration visits, and the sizes of the ANDs plus the partners taken
-    from them, which grow quadratically in a dense common neighbourhood.
-    Once either passes ``budget``, the scan is abandoned for the row scan,
-    ``eligible`` over ``graphs.partner_rows``; both give the same batch.
+    enumeration visits, and for each clique, before any pair is taken from
+    it, c + C(c, 2) for an AND of c vertices, which bounds the pairs it can
+    give.  Once either passes ``budget``, the scan is abandoned for the row
+    scan, ``eligible`` over ``graphs.partner_rows``, so a dense start falls
+    back at its first large AND; both paths give the same batch.
     """
-    k = r - 2
+    try:
+        return _clique_pairs(adj, host_adj, r - 2, budget)
+    except OverBudget:
+        pass
+    # outside the except clause, so the abandoned pairs are freed first
+    return eligible(adj, r, partner_rows(adj, host_adj, r - 2))
+
+
+def _clique_pairs(
+    adj: list[int], host_adj: list[int], k: int, budget: int
+) -> list[tuple[int, int]]:
+    """``start_scan``'s clique-first path; raises ``OverBudget``."""
     found: set[tuple[int, int]] = set()
     work = 0
-    try:
-        for _, common in near_cliques(adj, k, budget=budget):
-            work += common.bit_count()
-            for a in iter_bits(common):
-                if work > budget:
-                    raise OverBudget
-                partners = (common & host_adj[a] & ~adj[a]) >> (a + 1)
-                work += partners.bit_count()
-                for b in iter_bits(partners):
-                    found.add((a, a + 1 + b))
-    except OverBudget:
-        return eligible(adj, r, partner_rows(adj, host_adj, k))
+    for _, common in near_cliques(adj, k, budget=budget):
+        c = common.bit_count()
+        work += c + c * (c - 1) // 2
+        if work > budget:
+            raise OverBudget
+        for a in iter_bits(common):
+            partners = (common & host_adj[a] & ~adj[a]) >> (a + 1)
+            for b in iter_bits(partners):
+                found.add((a, a + 1 + b))
     return sorted(found)
 
 

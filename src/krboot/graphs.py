@@ -270,12 +270,6 @@ def near_cliques(
         yield from extend((), within, 0, k)
 
 
-def cliques_in_subset(g: Graph, candidates: int, k: int) -> list[tuple[int, ...]]:
-    """All k-cliques of ``g`` inside the vertex bitmask ``candidates``, as
-    ascending tuples in lexicographic order.  k = 0 gives the empty clique."""
-    return [q for q, _ in near_cliques(g.adj, k, candidates)]
-
-
 def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:
     """Early-exit test: does ``candidates`` hold a k-clique of the graph whose
     adjacency rows are ``adj``?"""

@@ -314,11 +314,14 @@ def test_step_kr_on_complete_graph_falls_back_at_once():
 
 
 def test_step_kr_falls_back_on_a_dense_start():
-    # the clique {0, 1} has the 38-vertex hole as its AND, which costs
-    # 38 + C(38, 2) units against a budget of the C(38, 2) missing pairs
+    # the first clique, {0, 1}, has the 38-vertex hole as its AND, which is
+    # charged 38 + C(38, 2) units against a budget of the C(38, 2) missing
+    # pairs before any pair is taken from it
     g = minimal_percolating(40, 4)
     batch = [e for e in itertools.combinations(range(40), 2) if not g.has_edge(*e)]
-    assert row_scans(step_kr, g, 4, Graph.complete(40)) == (batch, 1)
+    with mock.patch.object(engine, "iter_bits", wraps=engine.iter_bits) as collect:
+        assert row_scans(step_kr, g, 4, Graph.complete(40)) == (batch, 1)
+    assert collect.call_count == 0
 
 
 def test_step_kr_takes_the_cliques_on_a_scaffold_start():

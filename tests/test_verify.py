@@ -14,7 +14,7 @@ from krboot.constructions import (
     build_hB,
     build_hprime,
 )
-from krboot.graphs import UniformHypergraph, cliques_in_subset, two_skeleton
+from krboot.graphs import UniformHypergraph, near_cliques, two_skeleton
 from krboot.verify import (
     check_ap_free,
     check_induced_free,
@@ -47,7 +47,7 @@ def all_pairs_sweep(h: UniformHypergraph, r: int, verbose: bool):
     failures = []
     for u, v in itertools.combinations(range(h.n), 2):
         pairs += 1
-        for clique in cliques_in_subset(skel, skel.adj[u] & skel.adj[v], r - 2):
+        for clique, _ in near_cliques(skel.adj, r - 2, skel.adj[u] & skel.adj[v]):
             candidates += 1
             cand = tuple(sorted((u, v) + clique))
             if cand not in edges:
