@@ -20,8 +20,6 @@ def _parse_slope_list(text: str) -> ApSet:
         values = sorted(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"bad slope list {text!r}; expected like 10,20,40") from None
-    if not values:
-        raise ValueError("empty slope list")
     return ApSet(max(values), tuple(values))
 
 

@@ -162,9 +162,7 @@ def build_hb(n: int, b: int) -> UniformHypergraph:
     """Single slope-b chain of 5-edges on the x/y/z blocks (3n + 3 vertices)."""
     if b < 1:
         raise ValueError("need b >= 1")
-    if n - 2 * b - 1 < 0:
-        raise ValueError(f"slope {b} too steep for n={n}")
-    return UniformHypergraph(3 * n + 3, 5, _hb_edges(n, b, 0, n - 2 * b), _xyz_labels(n))
+    return build_hB(n, ApSet(b, (b,)))
 
 
 def build_hB(n: int, B: ApSet) -> UniformHypergraph:

@@ -18,9 +18,11 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
   than the pairs it removes.  It is ``start_scan``'s fallback and ``run``'s
   bail-out full scan.
 - ``eligible_after`` is the anchored step: after a batch, a newly eligible
-  pair closes a K_r through some batch edge, so it searches only around the
-  batch edges.  ``run`` takes it unless its estimated cost exceeds the host
-  edges still missing, and then falls back to the row scan.
+  pair closes a K_r through some batch edge (u, v), so it is clique-first
+  too.  It enumerates the small cliques of N(u) & N(v) with
+  ``graphs.near_cliques`` and takes the pairs their ANDs close, without
+  probing any pair.  ``run`` takes it unless its estimated cost exceeds the
+  host edges still missing, and then falls back to the row scan.
 
 Every route gives the same batch.
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
@@ -160,11 +162,19 @@ def _clique_pairs(
         work += c + c * (c - 1) // 2
         if work > budget:
             raise OverBudget
-        for a in iter_bits(common):
-            partners = (common & host_adj[a] & ~adj[a]) >> (a + 1)
-            for b in iter_bits(partners):
-                found.add((a, a + 1 + b))
+        _add_pairs_inside(found, adj, host_adj, common)
     return sorted(found)
+
+
+def _add_pairs_inside(
+    found: set[tuple[int, int]], adj: list[int], host_adj: list[int], mask: int
+) -> None:
+    """Add to ``found`` the host pairs (a, b), a < b, inside ``mask`` that
+    are not yet edges of ``adj``."""
+    for a in iter_bits(mask):
+        partners = (mask & host_adj[a] & ~adj[a]) >> (a + 1)
+        for b in iter_bits(partners):
+            found.add((a, a + 1 + b))
 
 
 def eligible(
@@ -203,35 +213,29 @@ def eligible_after(
 
     ``batch`` must be the whole step just applied, so no pair outside it was
     eligible before it, and a K_r that a pair closes now contains some batch
-    edge (u, v).  Let C = N(u) & N(v).  Either (only for r >= 4) the pair
-    (a, b) lies inside C and needs an (r-4)-clique in C & N(a) & N(b), or it
-    is (x, w) with
-    {x, y} = {u, v} and w in N(y) - N(x), and needs an (r-3)-clique in
-    C & N(w).  Returns the pairs sorted, each once.
+    edge (u, v).  Let C = N(u) & N(v).  The step enumerates cliques of C
+    with ``graphs.near_cliques`` instead of probing pairs.  Either (only for
+    r >= 4) the pair lies inside the AND of an (r-4)-clique Q of C, which
+    holds C's vertices adjacent to all of Q, or it is (x, w) with
+    {x, y} = {u, v}, w in N(y) - N(x), and w adjacent to all of some
+    (r-3)-clique of C.  Returns the pairs sorted, each once.
     """
     found: set[tuple[int, int]] = set()
     for u, v in batch:
         c = adj[u] & adj[v]
         if r >= 4:
-            k = r - 4
-            for a in iter_bits(c):
-                rest = c & adj[a]
-                for b in iter_bits((c & host_adj[a] & ~adj[a]) >> (a + 1)):
-                    b += a + 1
-                    if (a, b) in found:
-                        continue
-                    common = rest & adj[b]
-                    if common.bit_count() >= k and has_clique_rows(adj, common, k):
-                        found.add((a, b))
-        k = r - 3
+            for _, common in near_cliques(adj, r - 4, c):
+                _add_pairs_inside(found, adj, host_adj, common)
+        # the vertices adjacent to all of some (r-3)-clique of C; -1 is all
+        reach = 0
+        for q, _ in near_cliques(adj, r - 3, c):
+            row = -1
+            for a in q:
+                row &= adj[a]
+            reach |= row
         for x, y in ((u, v), (v, u)):
-            for w in iter_bits(adj[y] & host_adj[x] & ~adj[x] & ~(1 << x)):
-                e = (x, w) if x < w else (w, x)
-                if e in found:
-                    continue
-                common = c & adj[w]
-                if common.bit_count() >= k and has_clique_rows(adj, common, k):
-                    found.add(e)
+            for w in iter_bits(reach & adj[y] & host_adj[x] & ~adj[x]):
+                found.add((x, w) if x < w else (w, x))
     return sorted(found)
 
 

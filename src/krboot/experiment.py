@@ -10,7 +10,9 @@ while the sweep keeps going.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
+import functools
 import hashlib
 import os
 import time
@@ -270,6 +272,18 @@ def _existing_keys(path) -> set[tuple[str, ...]]:
         return {_row_key(row) for row in reader}
 
 
+def _point_row(
+    cfg: ExperimentConfig, point: tuple[int, ApSet | None]
+) -> dict[str, str] | str:
+    """``compute_row`` for ``point``, or the errors-log line of its failure;
+    it runs where the row is computed, in a worker process when jobs > 1."""
+    n, slopes = point
+    try:
+        return compute_row(cfg, n, slopes)
+    except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+        return f"point n={n}: {exc}"
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
     """Execute all points not already in the output CSV; return new rows."""
     done = _existing_keys(cfg.output)
@@ -278,24 +292,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
     fam = constructions.FAMILIES[cfg.family]
     points = [fileio.read_graph(cfg.input).n] if "input" in fam.params else list(cfg.ns)
 
+    def log(line: str) -> None:
+        with open(errors_path, "a") as fh:
+            fh.write(line + "\n")
+
     write_header = not os.path.exists(cfg.output) or os.path.getsize(cfg.output) == 0
     new_rows: list[dict[str, str]] = []
-    with open(cfg.output, "a", newline="") as out:
+    with open(cfg.output, "a", newline="") as out, contextlib.ExitStack() as stack:
         writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
         if write_header:
             writer.writeheader()
-
-        def emit(n: int, row: dict[str, str] | None, err: Exception | None):
-            if err is not None:
-                with open(errors_path, "a") as log:
-                    log.write(f"point n={n}: {err}\n")
-                return
-            if not _row_invariant_ok(row):
-                with open(errors_path, "a") as log:
-                    log.write(f"point n={n}: steps {row['steps']} < m {row['m']}\n")
-            writer.writerow(row)
-            out.flush()
-            new_rows.append(row)
 
         # slope sets are resolved before any point runs, so that resume keys
         # are known without rebuilding; a point whose slopes fail is logged
@@ -304,25 +310,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
             try:
                 slopes = _slopes_for(cfg, n)
             except ValueError as exc:
-                emit(n, None, exc)
+                log(f"point n={n}: {exc}")
                 continue
             if _row_key(_point_cells(cfg, n, slopes)) not in done:
                 todo.append((n, slopes))
 
+        map_points = map
         if cfg.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [
-                    (n, pool.submit(compute_row, cfg, n, slopes)) for n, slopes in todo
-                ]
-                for n, fut in futures:
-                    try:
-                        emit(n, fut.result(), None)
-                    except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                        emit(n, None, exc)
-        else:
-            for n, slopes in todo:
-                try:
-                    emit(n, compute_row(cfg, n, slopes), None)
-                except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                    emit(n, None, exc)
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
+            map_points = stack.enter_context(pool).map
+        for row in map_points(functools.partial(_point_row, cfg), todo):
+            if isinstance(row, str):
+                log(row)
+                continue
+            if not _row_invariant_ok(row):
+                log(f"point n={row['n']}: steps {row['steps']} < m {row['m']}")
+            writer.writerow(row)
+            out.flush()
+            new_rows.append(row)
     return new_rows

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from krboot import fileio
+from krboot import experiment, fileio
 from krboot.cli import main
 from krboot.constructions import build_chain, build_h6, minimal_percolating
 from krboot.graphs import Graph, UniformHypergraph, two_skeleton
@@ -183,6 +183,12 @@ def test_construct_bad_slope_list(tmp_path, capsys):
     )
     assert code == 2
     assert "bad slope list" in capsys.readouterr().err
+    code = run_cli(
+        "construct", "--family", "hB", "--n", "100", "--B", "",
+        "--out-prefix", str(tmp_path / "x"),
+    )
+    assert code == 2
+    assert "error: bad slope list ''; expected like 10,20,40" in capsys.readouterr().err
 
 
 def test_simulate_minimal_start(tmp_path, capsys):
@@ -363,6 +369,16 @@ def test_experiment_cli_rejects_jobs_below_one(tmp_path, capsys):
         assert run_cli("experiment", "--config", str(cfg), "--jobs", jobs) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+def test_experiment_cli_jobs_overrides_the_config(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family chain\nn 1\njobs 1\noutput {tmp_path / 'rows.csv'}\n")
+    seen = []
+    monkeypatch.setattr(experiment, "run_experiment", lambda c: seen.append(c.jobs) or [])
+    assert run_cli("experiment", "--config", str(cfg), "--jobs", "2") == 0
+    assert run_cli("experiment", "--config", str(cfg)) == 0
+    assert seen == [2, 1]
 
 
 def test_experiment_cli_bad_config(tmp_path, capsys):

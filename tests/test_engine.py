@@ -241,9 +241,9 @@ def test_partner_rows_hold_every_pair_with_k_common_neighbours(instance):
 
 @st.composite
 def hosted_starts(draw):
-    """A random host on 3..10 vertices, a start inside it and r in 3..6."""
+    """A random host on 3..10 vertices, a start inside it and r in 3..7."""
     n = draw(st.integers(3, 10))
-    r = draw(st.integers(3, 6))
+    r = draw(st.integers(3, 7))
     p_host = draw(st.sampled_from([0.7, 0.9, 1.0]))
     p_start = draw(st.sampled_from([0.3, 0.5, 0.7]))
     rng = draw(st.randoms(use_true_random=False))
@@ -269,6 +269,28 @@ def test_anchored_step_equals_full_scan_after_every_batch(instance):
             g.adj, r, enumerate(host.adj)
         )
     assert run(start, r, host).to_json() == run_oracle(start, r, host).to_json()
+
+
+def test_anchored_step_equals_full_scan_on_seeded_slow_starts():
+    # near-complete hosts on 8..12 vertices with half-filled starts run for
+    # a few steps at r = 5..7, where the anchored step enumerates vertices,
+    # edges and triangles of each common neighbourhood; hosted_starts'
+    # smaller graphs reach such steps only now and then
+    for seed in range(600):
+        rng = random.Random(seed)
+        n, r, p = rng.randint(8, 12), rng.choice([5, 6, 7]), rng.choice([0.4, 0.5, 0.6])
+        host, g = Graph(n), Graph(n)
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.95:
+                host.add_edge(u, v)
+                if rng.random() < p:
+                    g.add_edge(u, v)
+        while batch := eligible(g.adj, r, enumerate(host.adj)):
+            for u, v in batch:
+                g.add_edge(u, v)
+            assert eligible_after(g.adj, host.adj, r, batch) == eligible(
+                g.adj, r, enumerate(host.adj)
+            ), (seed, batch)
 
 
 @st.composite

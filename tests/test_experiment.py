@@ -245,6 +245,16 @@ def test_run_experiment_logs_errors_and_continues(tmp_path):
     assert "point n=5" in log
 
 
+def test_run_experiment_parallel_logs_errors_and_continues(tmp_path):
+    out = tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="h6", ns=[5, 10, 20], r=6, output=str(out), jobs=2)
+    new = run_experiment(cfg)
+    assert [r["n"] for r in new] == ["10", "20"]  # n=5 fails in its worker
+    assert [r["n"] for r in read_rows(out)] == ["10", "20"]
+    log = (out.parent / (out.name + ".errors.log")).read_text()
+    assert log.startswith("point n=5: ") and log.count("\n") == 1
+
+
 def test_run_experiment_logs_a_point_without_slopes(tmp_path):
     out = tmp_path / "rows.csv"
     cfg = ExperimentConfig(family="hprime", ns=[30, 400], r=5, output=str(out))

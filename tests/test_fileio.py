@@ -110,6 +110,10 @@ def test_hypergraph_rejects_malformed(tmp_path, text):
         (fileio.read_hypergraph, "5 2 1\n0 9\n", 2),  # vertex out of range
         (fileio.read_hypergraph, "5 2 1\n0 1\n# label x X 3\n", 3),  # non-integer id
         (fileio.read_hypergraph, "5 2 -1\n", 1),  # negative edge count
+        (fileio.read_graph, "-1 0\n", 1),  # negative vertex count
+        (fileio.read_hypergraph, "5 2 1\n0 1\n# label 5 X 3\n", 3),  # unknown vertex
+        (fileio.read_apset, "", 1),  # empty file
+        (fileio.read_apset, "-1 0\n", 1),  # negative ambient bound
     ],
 )
 def test_range_and_label_errors_name_the_line(tmp_path, reader, text, line):
