@@ -15,14 +15,15 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
 - ``eligible`` is the row scan: it checks candidate rows, taken from
   ``graphs.partner_rows``: each vertex's non-adjacent host partners above it,
   cut to those with at least r-2 common neighbours when that cut is cheaper
-  than the pairs it removes.  It is ``start_scan``'s fallback and ``run``'s
-  bail-out full scan.
-- ``eligible_after`` is the anchored step: after a batch, a newly eligible
-  pair closes a K_r through some batch edge (u, v), so it is clique-first
-  too.  It enumerates the small cliques of N(u) & N(v) with
-  ``graphs.near_cliques`` and takes the pairs their ANDs close, without
-  probing any pair.  ``run`` takes it unless its estimated cost exceeds the
-  host edges still missing, and then falls back to the row scan.
+  than the pairs it removes.  It is the fallback of both clique-first
+  scans.
+- ``eligible_after`` is the anchored step of ``run``'s later steps: after a
+  batch, a newly eligible pair closes a K_r through some batch edge (u, v),
+  so it is clique-first too.  It enumerates the small cliques of
+  N(u) & N(v) with ``graphs.near_cliques`` and takes the pairs their ANDs
+  close, without probing any pair.  Like ``start_scan`` it counts its work
+  against the host edges still missing and past them falls back to the
+  row scan.
 
 Every route gives the same batch.
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
@@ -63,14 +64,7 @@ class PercolationTrace:
     final_edge_count: int = 0
 
     def to_json(self) -> str:
-        obj = {
-            "running_time": self.running_time,
-            "percolated": self.percolated,
-            "truncated": self.truncated,
-            "final_edge_count": self.final_edge_count,
-            "steps": self.steps,
-        }
-        return json.dumps(obj)
+        return json.dumps({key: getattr(self, key) for key in (*_SCALARS, "steps")})
 
     @classmethod
     def from_json(cls, text: str) -> "PercolationTrace":
@@ -111,13 +105,20 @@ def _batch(pairs: list) -> list[tuple[int, int]]:
     return out
 
 
-def _check_inputs(current: Graph, r: int, host: Graph) -> None:
+def _check_inputs(current: Graph, r: int, host: Graph, max_steps: int | None = None) -> int:
+    """Refuse a bad instance; return ``max_steps``, by default C(n, 2) + 1,
+    which no process can exhaust."""
     if r < 3:
         raise ValueError(f"process order r must be at least 3, got {r}")
     if current.n != host.n:
         raise ValueError("current and host must share the vertex set")
     if not current.is_subgraph_of(host):
         raise ValueError("current graph has an edge outside the host")
+    if max_steps is None:
+        max_steps = current.n * (current.n - 1) // 2 + 1
+    if max_steps < 0:
+        raise ValueError("max_steps must be non-negative")
+    return max_steps
 
 
 def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
@@ -143,26 +144,18 @@ def start_scan(
     scan, ``eligible`` over ``graphs.partner_rows``, so a dense start falls
     back at its first large AND; both paths give the same batch.
     """
-    try:
-        return _clique_pairs(adj, host_adj, r - 2, budget)
-    except OverBudget:
-        pass
-    # outside the except clause, so the abandoned pairs are freed first
-    return eligible(adj, r, partner_rows(adj, host_adj, r - 2))
-
-
-def _clique_pairs(
-    adj: list[int], host_adj: list[int], k: int, budget: int
-) -> list[tuple[int, int]]:
-    """``start_scan``'s clique-first path; raises ``OverBudget``."""
     found: set[tuple[int, int]] = set()
     work = 0
-    for _, common in near_cliques(adj, k, budget=budget):
-        c = common.bit_count()
-        work += c + c * (c - 1) // 2
-        if work > budget:
-            raise OverBudget
-        _add_pairs_inside(found, adj, host_adj, common)
+    try:
+        for _, common in near_cliques(adj, r - 2, budget=budget):
+            c = common.bit_count()
+            work += c + c * (c - 1) // 2
+            if work > budget:
+                raise OverBudget
+            _add_pairs_inside(found, adj, host_adj, common)
+    except OverBudget:
+        found.clear()  # the abandoned pairs go before the row scan runs
+        return eligible(adj, r, partner_rows(adj, host_adj, r - 2))
     return sorted(found)
 
 
@@ -183,9 +176,9 @@ def eligible(
     """The row scan: pairs (u, v) from ``rows`` whose edge closes a K_r.
 
     ``rows`` yields ``(u, mask of candidate partners)`` in ascending u, from
-    ``graphs.partner_rows`` (``start_scan``'s fallback and ``run``'s bail-out
-    scans) or from a host's own rows, ``enumerate(host.adj)``, which are a
-    full scan.  Partners v <= u and pairs already in ``adj`` are
+    ``graphs.partner_rows`` (the fallback of ``start_scan`` and
+    ``eligible_after``) or from a host's own rows, ``enumerate(host.adj)``,
+    which are a full scan.  Partners v <= u and pairs already in ``adj`` are
     dropped here, and each pair needs r-2 common neighbours, so a mask may
     hold more than the eligible partners but must hold all of them.  The
     batch comes out sorted.
@@ -207,7 +200,7 @@ def eligible(
 
 
 def eligible_after(
-    adj: list[int], host_adj: list[int], r: int, batch: list[tuple[int, int]]
+    adj: list[int], host_adj: list[int], r: int, batch: list[tuple[int, int]], budget: int
 ) -> list[tuple[int, int]]:
     """The anchored step: the host pairs eligible once ``batch`` is in ``adj``.
 
@@ -215,43 +208,71 @@ def eligible_after(
     eligible before it, and a K_r that a pair closes now contains some batch
     edge (u, v).  Let C = N(u) & N(v).  The step enumerates cliques of C
     with ``graphs.near_cliques`` instead of probing pairs.  Either (only for
-    r >= 4) the pair lies inside the AND of an (r-4)-clique Q of C, which
-    holds C's vertices adjacent to all of Q, or it is (x, w) with
-    {x, y} = {u, v}, w in N(y) - N(x), and w adjacent to all of some
-    (r-3)-clique of C.  Returns the pairs sorted, each once.
+    r >= 4) the pair lies inside the AND of an (r-4)-clique Q of C, among
+    the vertices of C that have a non-adjacent host partner in C, or it is
+    (x, w) with {x, y} = {u, v}, w in N(y) - N(x), and w adjacent to all of
+    some (r-3)-clique of C.  The first enumeration is skipped when fewer
+    than two vertices of C have such a partner; the second runs only over
+    C's vertices adjacent to some such w, and stops once every w is reached.
+
+    Like ``start_scan`` it counts its work against ``budget``.  Before any
+    clique, from bit counts alone, it charges each batch edge |C| and
+    |N(u) ^ N(v)|, which holds every candidate w, so a batch too large for
+    the step costs no enumeration at all.  Then it charges each clique the
+    enumerations give and, for an AND of c vertices of the first case,
+    before any pair is taken from it, c + C(c, 2); each enumeration also
+    stops once its own visits pass what is left.  Past ``budget`` the step
+    is abandoned for the row scan, ``eligible`` over ``graphs.partner_rows``;
+    both paths give the same batch, sorted.
     """
     found: set[tuple[int, int]] = set()
-    for u, v in batch:
-        c = adj[u] & adj[v]
-        if r >= 4:
-            for _, common in near_cliques(adj, r - 4, c):
-                _add_pairs_inside(found, adj, host_adj, common)
-        # the vertices adjacent to all of some (r-3)-clique of C; -1 is all
-        reach = 0
-        for q, _ in near_cliques(adj, r - 3, c):
-            row = -1
-            for a in q:
-                row &= adj[a]
-            reach |= row
-        for x, y in ((u, v), (v, u)):
-            for w in iter_bits(reach & adj[y] & host_adj[x] & ~adj[x]):
-                found.add((x, w) if x < w else (w, x))
+    work = 0
+    try:
+        for u, v in batch:
+            work += (adj[u] & adj[v]).bit_count() + (adj[u] ^ adj[v]).bit_count()
+            if work > budget:
+                raise OverBudget
+        for u, v in batch:
+            c = adj[u] & adj[v]
+            # case 2's candidates w, for x = u and for x = v
+            wu = adj[v] & host_adj[u] & ~adj[u]
+            wv = adj[u] & host_adj[v] & ~adj[v]
+            # C's vertices with a non-adjacent host partner in C (case 1's
+            # pairs lie among them), and those adjacent to some w
+            inner = near = 0
+            if r >= 4:
+                for a in iter_bits(c):
+                    if c & host_adj[a] & ~adj[a]:
+                        inner |= 1 << a
+                    if adj[a] & (wu | wv):
+                        near |= 1 << a
+            if inner & (inner - 1):
+                for _, common in near_cliques(adj, r - 4, c, budget - work):
+                    common &= inner
+                    k = common.bit_count()
+                    work += 1 + k + k * (k - 1) // 2
+                    if work > budget:
+                        raise OverBudget
+                    _add_pairs_inside(found, adj, host_adj, common)
+            # the w adjacent to all of some (r-3)-clique of C
+            reach = 0
+            for q, _ in near_cliques(adj, r - 3, near, budget - work):
+                work += 1
+                if work > budget:
+                    raise OverBudget
+                row = wu | wv
+                for a in q:
+                    row &= adj[a]
+                reach |= row
+                if reach == wu | wv:
+                    break
+            for x, ws in ((u, wu), (v, wv)):
+                for w in iter_bits(ws & reach):
+                    found.add((x, w) if x < w else (w, x))
+    except OverBudget:
+        found.clear()  # the abandoned pairs go before the row scan runs
+        return eligible(adj, r, partner_rows(adj, host_adj, r - 2))
     return sorted(found)
-
-
-def _anchored_is_cheaper(
-    adj: list[int], batch: list[tuple[int, int]], missing: int
-) -> bool:
-    """Cost gate for ``eligible_after``: its pair count, quadratic in the
-    common-neighbourhood sizes, against ``missing``, the host edges not yet in
-    the graph, which bounds a full scan's work."""
-    est = 0
-    for u, v in batch:
-        c = (adj[u] & adj[v]).bit_count()
-        est += c * (c - 1) // 2 + adj[u].bit_count() + adj[v].bit_count()
-        if est > 2 * missing:
-            return False
-    return True
 
 
 def run(
@@ -265,11 +286,7 @@ def run(
     ``max_steps`` defaults to C(n, 2) + 1, which no process can exhaust, so by
     default the trace is never truncated.
     """
-    _check_inputs(start, r, host)
-    if max_steps is None:
-        max_steps = start.n * (start.n - 1) // 2 + 1
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
+    max_steps = _check_inputs(start, r, host, max_steps)
 
     current = start.copy()
     adj = current.adj
@@ -288,10 +305,7 @@ def run(
             adj[v] |= 1 << u
         steps.append(batch)
         missing -= len(batch)
-        if _anchored_is_cheaper(adj, batch, missing):
-            batch = eligible_after(adj, host.adj, r, batch)
-        else:
-            batch = eligible(adj, r, partner_rows(adj, host.adj, r - 2))
+        batch = eligible_after(adj, host.adj, r, batch, missing)
 
     return PercolationTrace(
         steps=steps,
@@ -319,12 +333,8 @@ def run_oracle(
     Exponential in n; intended for cross-checking ``run`` on small instances
     (n <= 12 or so).  Produces traces that compare equal to ``run``'s.
     """
-    _check_inputs(start, r, host)
+    max_steps = _check_inputs(start, r, host, max_steps)
     n = start.n
-    if max_steps is None:
-        max_steps = n * (n - 1) // 2 + 1
-    if max_steps < 0:
-        raise ValueError("max_steps must be non-negative")
 
     edge_set = {(u, v) for u, v in start.edges()}
     host_edges = sorted(host.edges())

@@ -5,7 +5,8 @@ key builds a list (``n 10`` / ``n 20``).  Existing output rows are detected by
 their (family, n, r, B, max_steps, input) key and skipped, so interrupted
 sweeps resume.
 Per-point failures and violated row invariants go to ``<output>.errors.log``
-while the sweep keeps going.
+while the sweep keeps going; a worker pool that breaks (a worker killed) logs
+the point it was running and every point still pending there.
 """
 from __future__ import annotations
 
@@ -272,18 +273,6 @@ def _existing_keys(path) -> set[tuple[str, ...]]:
         return {_row_key(row) for row in reader}
 
 
-def _point_row(
-    cfg: ExperimentConfig, point: tuple[int, ApSet | None]
-) -> dict[str, str] | str:
-    """``compute_row`` for ``point``, or the errors-log line of its failure;
-    it runs where the row is computed, in a worker process when jobs > 1."""
-    n, slopes = point
-    try:
-        return compute_row(cfg, n, slopes)
-    except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-        return f"point n={n}: {exc}"
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
     """Execute all points not already in the output CSV; return new rows."""
     done = _existing_keys(cfg.output)
@@ -315,13 +304,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
             if _row_key(_point_cells(cfg, n, slopes)) not in done:
                 todo.append((n, slopes))
 
-        map_points = map
+        # one call per point that returns its row: a pool runs them all at
+        # once, a serial sweep one at a time in the loop
         if cfg.jobs > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
-            map_points = stack.enter_context(pool).map
-        for row in map_points(functools.partial(_point_row, cfg), todo):
-            if isinstance(row, str):
-                log(row)
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
+            )
+            calls = [pool.submit(compute_row, cfg, *point).result for point in todo]
+        else:
+            calls = [functools.partial(compute_row, cfg, *point) for point in todo]
+        for (n, _), call in zip(todo, calls):
+            try:
+                row = call()
+            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+                # also each point a broken pool (a worker killed) lost
+                log(f"point n={n}: {exc}")
                 continue
             if not _row_invariant_ok(row):
                 log(f"point n={row['n']}: steps {row['steps']} < m {row['m']}")

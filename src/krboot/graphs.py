@@ -245,15 +245,20 @@ def near_cliques(
         raise ValueError("clique size must be non-negative")
     if within is None:
         within = (1 << len(adj)) - 1
+    if k == 0:
+        yield (), within
+        return
     spent = 0
-
-    def extend(prefix, common, start, need):
-        nonlocal spent
-        mask = common >> start << start
+    # depth first without recursion, so no generator chain or closure cycle:
+    # each entry is a partial clique, its AND and the candidates left to try
+    stack = [((), within, within)]
+    while stack:
+        prefix, common, mask = stack.pop()
+        need = k - len(prefix)
         while mask:
             low = mask & -mask
-            v = low.bit_length() - 1
             mask ^= low
+            v = low.bit_length() - 1
             c = common & adj[v]
             if budget is not None:
                 spent += 1
@@ -262,12 +267,10 @@ def near_cliques(
             if need == 1:
                 yield prefix + (v,), c
             elif (c >> (v + 1)).bit_count() >= need - 1:
-                yield from extend(prefix + (v,), c, v + 1, need - 1)
-
-    if k == 0:
-        yield (), within
-    else:
-        yield from extend((), within, 0, k)
+                # the rest of this entry waits under its first extension
+                stack.append((prefix, common, mask))
+                stack.append((prefix + (v,), c, c >> (v + 1) << (v + 1)))
+                break
 
 
 def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:

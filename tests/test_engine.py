@@ -257,6 +257,16 @@ def hosted_starts(draw):
     return start, r, host
 
 
+def assert_anchored_step(g, host, r, batch):
+    """``eligible_after`` on both its paths equals a full row scan; returns it."""
+    expected = eligible(g.adj, r, enumerate(host.adj))
+    # budget 0 gives the clique-first path up at its first unit of work
+    assert eligible_after(g.adj, host.adj, r, batch, 0) == expected
+    # no budget the step can reach: clique-first to the end, no row scan
+    assert row_scans(eligible_after, g.adj, host.adj, r, batch, 2**64) == (expected, 0)
+    return expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(hosted_starts())
 def test_anchored_step_equals_full_scan_after_every_batch(instance):
@@ -265,9 +275,7 @@ def test_anchored_step_equals_full_scan_after_every_batch(instance):
     while batch := eligible(g.adj, r, enumerate(host.adj)):
         for u, v in batch:
             g.add_edge(u, v)
-        assert eligible_after(g.adj, host.adj, r, batch) == eligible(
-            g.adj, r, enumerate(host.adj)
-        )
+        assert_anchored_step(g, host, r, batch)
     assert run(start, r, host).to_json() == run_oracle(start, r, host).to_json()
 
 
@@ -288,9 +296,7 @@ def test_anchored_step_equals_full_scan_on_seeded_slow_starts():
         while batch := eligible(g.adj, r, enumerate(host.adj)):
             for u, v in batch:
                 g.add_edge(u, v)
-            assert eligible_after(g.adj, host.adj, r, batch) == eligible(
-                g.adj, r, enumerate(host.adj)
-            ), (seed, batch)
+            assert_anchored_step(g, host, r, batch)
 
 
 @st.composite
@@ -356,9 +362,7 @@ def anchored_after(edges, n, r, batch):
     """``eligible_after`` in K_n once ``batch`` is added to ``edges``."""
     g = Graph.from_edges(n, list(edges) + list(batch))
     host = Graph.complete(n)
-    expected = eligible(g.adj, r, enumerate(host.adj))
-    assert eligible_after(g.adj, host.adj, r, batch) == expected
-    return expected
+    return assert_anchored_step(g, host, r, batch)
 
 
 def test_anchored_step_pair_inside_the_common_neighbourhood():
@@ -383,6 +387,27 @@ def test_anchored_step_for_triangles():
     # runs from a batch endpoint along the other endpoint's edges
     path = [(0, 1), (1, 2), (2, 3)]
     assert anchored_after(path, 4, 3, [(0, 2), (1, 3)]) == [(0, 3)]
+
+
+def test_anchored_step_skips_a_dense_common_neighbourhood_with_nothing_to_close():
+    # S = K_30, u and v joined to all of S, w joined to v alone.  After uv,
+    # C = S has no missing pair and none of its vertices is adjacent to w,
+    # the one candidate w, so the step charges C's 30 vertices and the 3 of
+    # N(u) ^ N(v) = {u, v, w} and enumerates none of the C(30, 2) edges,
+    # C(30, 3) triangles or C(30, 4) 4-cliques of C
+    s = 30
+    u, v, w = s, s + 1, s + 2
+    edges = list(itertools.combinations(range(s), 2)) + [(u, v), (v, w)]
+    edges += [(a, x) for a in range(s) for x in (u, v)]
+    g = Graph.from_edges(s + 3, edges)
+    host = Graph.complete(s + 3)
+    for r in (5, 6, 7):
+        assert eligible(g.adj, r, enumerate(host.adj)) == []
+        assert row_scans(eligible_after, g.adj, host.adj, r, [(u, v)], s + 3) == ([], 0)
+    # one unit less, and the bit counts alone send the step to the row scan
+    with mock.patch.object(engine, "near_cliques", wraps=engine.near_cliques) as enum:
+        assert row_scans(eligible_after, g.adj, host.adj, 7, [(u, v)], s + 2) == ([], 1)
+    assert enum.call_count == 0
 
 
 def test_run_does_not_recount_edges_per_step(monkeypatch):

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 
 import pytest
 
-from krboot import fileio
+from krboot import experiment, fileio
 from krboot.apsets import ApSet
 from krboot.constructions import FAMILIES, build, minimal_percolating
 from krboot.engine import run
@@ -253,6 +254,26 @@ def test_run_experiment_parallel_logs_errors_and_continues(tmp_path):
     assert [r["n"] for r in read_rows(out)] == ["10", "20"]
     log = (out.parent / (out.name + ".errors.log")).read_text()
     assert log.startswith("point n=5: ") and log.count("\n") == 1
+
+
+def test_run_experiment_logs_the_points_a_broken_pool_loses(tmp_path, monkeypatch):
+    # a worker that dies breaks the pool: the point it ran and every point
+    # still pending are logged, finished rows are kept, and the sweep returns
+    run_engine, doomed = experiment.engine.run, build("chain", m=2).start.n
+
+    def dies_on_point_2(start, *args, **kwargs):
+        if start.n == doomed:
+            os._exit(1)
+        return run_engine(start, *args, **kwargs)
+
+    monkeypatch.setattr(experiment.engine, "run", dies_on_point_2)
+    out = tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="chain", ns=[1, 2, 3], r=5, output=str(out), jobs=2)
+    new = run_experiment(cfg)
+    log = (out.parent / (out.name + ".errors.log")).read_text().splitlines()
+    assert any(line.startswith("point n=2: ") for line in log), log
+    assert sorted([r["n"] for r in new] + [line[8] for line in log]) == ["1", "2", "3"], log
+    assert [r["n"] for r in read_rows(out)] == [r["n"] for r in new]
 
 
 def test_run_experiment_logs_a_point_without_slopes(tmp_path):
