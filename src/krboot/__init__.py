@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     UniformHypergraph,
     cone,
-    pair,
     two_skeleton,
 )
 from .search import MaxTimeResult, max_running_time, max_running_time_sampled
@@ -61,7 +60,6 @@ __all__ = [
     "max_running_time",
     "max_running_time_sampled",
     "minimal_percolating",
-    "pair",
     "replay",
     "run",
     "run_oracle",

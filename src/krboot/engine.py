@@ -12,11 +12,10 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
   missing, against a deterministic count of the cliques visited and of the
   pairs each AND could give, charged before any pair is taken from it; past
   it, the scan falls back to the row scan.
-- ``eligible`` is the row scan: it checks candidate rows, taken from
-  ``graphs.partner_rows``: each vertex's non-adjacent host partners above it,
-  cut to those with at least r-2 common neighbours when that cut is cheaper
-  than the pairs it removes.  It is the fallback of both clique-first
-  scans.
+- ``eligible`` is the row scan: for each vertex u it builds the row of u's
+  non-adjacent host partners above it, cuts it to those with at least r-2
+  common neighbours when that cut is cheaper than the pairs it removes, and
+  probes each pair left.  It is the fallback of both clique-first scans.
 - ``eligible_after`` is the anchored step of ``run``'s later steps: after a
   batch, a newly eligible pair closes a K_r through some batch edge (u, v),
   so it is clique-first too.  It enumerates the small cliques of
@@ -25,7 +24,8 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
   against the host edges still missing and past them falls back to the
   row scan.
 
-Every route gives the same batch.
+Both clique-first scans charge and collect each clique's AND through
+``_collect_pairs``.  Every route gives the same batch.
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
 scratch and shares no step logic with the kernel.
 """
@@ -36,14 +36,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import (
-    Graph,
-    OverBudget,
-    has_clique_rows,
-    iter_bits,
-    near_cliques,
-    partner_rows,
-)
+from .graphs import Graph, OverBudget, has_clique_rows, iter_bits, near_cliques
 
 
 @dataclass
@@ -138,57 +131,77 @@ def start_scan(
     It enumerates each (r-2)-clique Q once (``graphs.near_cliques``) and
     collects the non-adjacent host pairs inside the AND of Q's rows.  Two
     work counts run against ``budget``: the partial and whole cliques the
-    enumeration visits, and for each clique, before any pair is taken from
-    it, c + C(c, 2) for an AND of c vertices, which bounds the pairs it can
-    give.  Once either passes ``budget``, the scan is abandoned for the row
-    scan, ``eligible`` over ``graphs.partner_rows``, so a dense start falls
-    back at its first large AND; both paths give the same batch.
+    enumeration visits, and ``_collect_pairs``'s charge of 1 + c + C(c, 2)
+    for each clique whose AND has c vertices, taken before any pair is.
+    Once either passes ``budget``, the scan is abandoned for the row scan,
+    ``eligible``, so a dense start falls back at its first large AND; both
+    paths give the same batch.
     """
     found: set[tuple[int, int]] = set()
-    work = 0
     try:
-        for _, common in near_cliques(adj, r - 2, budget=budget):
-            c = common.bit_count()
-            work += c + c * (c - 1) // 2
-            if work > budget:
-                raise OverBudget
-            _add_pairs_inside(found, adj, host_adj, common)
+        _collect_pairs(found, adj, host_adj, near_cliques(adj, r - 2, budget=budget), -1, budget)
     except OverBudget:
         found.clear()  # the abandoned pairs go before the row scan runs
-        return eligible(adj, r, partner_rows(adj, host_adj, r - 2))
+        return eligible(adj, host_adj, r)
     return sorted(found)
 
 
-def _add_pairs_inside(
-    found: set[tuple[int, int]], adj: list[int], host_adj: list[int], mask: int
-) -> None:
-    """Add to ``found`` the host pairs (a, b), a < b, inside ``mask`` that
-    are not yet edges of ``adj``."""
-    for a in iter_bits(mask):
-        partners = (mask & host_adj[a] & ~adj[a]) >> (a + 1)
-        for b in iter_bits(partners):
-            found.add((a, a + 1 + b))
+def _collect_pairs(
+    found: set[tuple[int, int]],
+    adj: list[int],
+    host_adj: list[int],
+    cliques: Iterable[tuple[tuple[int, ...], int]],
+    within: int,
+    budget: int,
+) -> int:
+    """Add to ``found`` the host pairs (a, b), a < b, not yet edges of ``adj``,
+    inside each AND that ``cliques`` (a ``graphs.near_cliques`` iterator)
+    yields, cut to ``within`` (-1 keeps every vertex).  Return the work spent.
+
+    Each AND of c vertices, once cut, costs 1 + c + C(c, 2) units, which
+    bounds the pairs it can give; the cost is charged before any pair is
+    taken from it, and past ``budget`` the call raises ``OverBudget``.
+    """
+    spent = 0
+    for _, common in cliques:
+        common &= within
+        c = common.bit_count()
+        spent += 1 + c + c * (c - 1) // 2
+        if spent > budget:
+            raise OverBudget
+        for a in iter_bits(common):
+            partners = (common & host_adj[a] & ~adj[a]) >> (a + 1)
+            for b in iter_bits(partners):
+                found.add((a, a + 1 + b))
+    return spent
 
 
-def eligible(
-    adj: list[int], r: int, rows: Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The row scan: pairs (u, v) from ``rows`` whose edge closes a K_r.
+def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int]]:
+    """The row scan: the host pairs (u, v), u < v, not in ``adj`` whose edge
+    closes a K_r, sorted.
 
-    ``rows`` yields ``(u, mask of candidate partners)`` in ascending u, from
-    ``graphs.partner_rows`` (the fallback of ``start_scan`` and
-    ``eligible_after``) or from a host's own rows, ``enumerate(host.adj)``,
-    which are a full scan.  Partners v <= u and pairs already in ``adj`` are
-    dropped here, and each pair needs r-2 common neighbours, so a mask may
-    hold more than the eligible partners but must hold all of them.  The
-    batch comes out sorted.
+    It walks u in ascending order and builds u's row of partners: the
+    non-adjacent host vertices v > u.  Such a pair needs r-2 common
+    neighbours, so when u's r-2 neighbour rows cost less than its partners
+    (``deg(u) * (r-2) < |row|``), the row is cut to the vertices that share
+    at least r-2 neighbours with u, counted in r-2 bit-sliced saturating
+    levels: ``levels[j]`` holds the vertices seen in more than j of u's
+    neighbour rows.  Each pair left is probed with ``has_clique_rows`` on
+    its common neighbourhood.
     """
     k = r - 2
     batch: list[tuple[int, int]] = []
-    for u, cand in rows:
-        au = adj[u]
+    for u, au in enumerate(adj):
         base = u + 1
-        cand = (cand & ~au) >> base
+        cand = (host_adj[u] & ~au) >> base
+        if au.bit_count() * k < cand.bit_count():
+            levels = [0] * k
+            for w in iter_bits(au):
+                aw = adj[w]
+                for j in range(k - 1, 0, -1):
+                    levels[j] |= levels[j - 1] & aw
+                levels[0] |= aw
+            cand &= levels[-1] >> base
         while cand:
             low = cand & -cand
             v = base + low.bit_length() - 1
@@ -219,11 +232,11 @@ def eligible_after(
     clique, from bit counts alone, it charges each batch edge |C| and
     |N(u) ^ N(v)|, which holds every candidate w, so a batch too large for
     the step costs no enumeration at all.  Then it charges each clique the
-    enumerations give and, for an AND of c vertices of the first case,
-    before any pair is taken from it, c + C(c, 2); each enumeration also
-    stops once its own visits pass what is left.  Past ``budget`` the step
-    is abandoned for the row scan, ``eligible`` over ``graphs.partner_rows``;
-    both paths give the same batch, sorted.
+    enumerations give, the first case's through ``_collect_pairs`` (1 + c +
+    C(c, 2) for an AND cut to c vertices, before any pair is taken from it);
+    each enumeration also stops once its own visits pass what is left.  Past
+    ``budget`` the step is abandoned for the row scan, ``eligible``; both
+    paths give the same batch, sorted.
     """
     found: set[tuple[int, int]] = set()
     work = 0
@@ -247,13 +260,8 @@ def eligible_after(
                     if adj[a] & (wu | wv):
                         near |= 1 << a
             if inner & (inner - 1):
-                for _, common in near_cliques(adj, r - 4, c, budget - work):
-                    common &= inner
-                    k = common.bit_count()
-                    work += 1 + k + k * (k - 1) // 2
-                    if work > budget:
-                        raise OverBudget
-                    _add_pairs_inside(found, adj, host_adj, common)
+                cliques = near_cliques(adj, r - 4, c, budget - work)
+                work += _collect_pairs(found, adj, host_adj, cliques, inner, budget - work)
             # the w adjacent to all of some (r-3)-clique of C
             reach = 0
             for q, _ in near_cliques(adj, r - 3, near, budget - work):
@@ -271,7 +279,7 @@ def eligible_after(
                     found.add((x, w) if x < w else (w, x))
     except OverBudget:
         found.clear()  # the abandoned pairs go before the row scan runs
-        return eligible(adj, r, partner_rows(adj, host_adj, r - 2))
+        return eligible(adj, host_adj, r)
     return sorted(found)
 
 

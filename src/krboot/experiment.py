@@ -124,9 +124,16 @@ def parse_config(path) -> ExperimentConfig:
     ns = ints("n")
     if not ns and "input" not in fam.params:  # else swept at the input's order
         raise ValueError(f"{path}: at least one 'n' required")
+    for i, n in enumerate(ns):
+        if n in ns[:i]:
+            raise ValueError(f"{at('n', i)}: n {n} given more than once")
     r = one_int("r", fam.default_r)
     if r is None:
         raise ValueError(f"{at('family')}: family {family!r} needs an explicit 'r'")
+    if r < 3:
+        raise ValueError(f"{at('r')}: r must be at least 3, got {r}")
+    if fam.default_r is not None and r != fam.default_r:
+        raise ValueError(f"{at('r')}: family {family} has order {fam.default_r}, got r {r}")
     b_source = one("b_source", "digits3")
     if b_source != "explicit" and b_source not in SOURCES:
         raise ValueError(f"{at('b_source')}: unknown b_source {b_source!r}")
@@ -155,6 +162,10 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{at('family')}: family {family} needs '{key}'")
     if cfg.jobs < 1:
         raise ValueError(f"{at('jobs')}: jobs must be >= 1")
+    if cfg.b is not None and cfg.b < 1:
+        raise ValueError(f"{at('b')}: b must be at least 1, got {cfg.b}")
+    if cfg.max_steps is not None and cfg.max_steps < 0:
+        raise ValueError(f"{at('max_steps')}: max_steps must be non-negative")
     read_by = constructions.read_by
     unread = [
         # a family built from an input file is swept at the input's order

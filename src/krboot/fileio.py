@@ -123,6 +123,8 @@ def read_hypergraph(path) -> UniformHypergraph:
             raise _fail(path, k, f"non-integer field in {line!r}") from None
         if not 0 <= v < n:
             raise _fail(path, k, f"label on unknown vertex {v}")
+        if v in labels:
+            raise _fail(path, k, f"second label for vertex {v}")
         labels[v] = (parts[3], idx)
     return UniformHypergraph(n, r, edges, labels)
 

@@ -8,49 +8,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
-def pair(u: int, v: int) -> tuple[int, int]:
-    """Normalize an unordered vertex pair to (min, max)."""
-    if u == v:
-        raise ValueError(f"pair endpoints must be distinct, got ({u}, {v})")
-    return (u, v) if u < v else (v, u)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield set-bit positions of ``mask`` in ascending order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def partner_rows(adj: list[int], limit: list[int], k: int) -> Iterator[tuple[int, int]]:
-    """Yield ``(u, mask)`` in ascending u: the partners v > u in ``limit[u]``
-    that are not adjacent to u.  Rows with an empty mask are skipped.
-
-    A pair whose common neighbourhood holds a k-clique has at least k common
-    neighbours.  When u's k neighbour rows cost less than its partners
-    (``deg(u) * k < |mask|``), the mask is cut to the vertices that share at
-    least k neighbours with u, counted in k bit-sliced saturating levels:
-    ``levels[j]`` holds the vertices seen in more than j of u's neighbour
-    rows.  Otherwise the mask stays whole, a superset the kernel's own
-    common-neighbour count still decides.
-    """
-    for u, au in enumerate(adj):
-        base = u + 1
-        mask = (limit[u] & ~au) >> base << base
-        if not mask:
-            continue
-        if au.bit_count() * k < mask.bit_count():
-            levels = [0] * k
-            for w in iter_bits(au):
-                aw = adj[w]
-                for j in range(k - 1, 0, -1):
-                    levels[j] |= levels[j - 1] & aw
-                levels[0] |= aw
-            mask &= levels[-1]
-            if not mask:
-                continue
-        yield u, mask
 
 
 class Graph:

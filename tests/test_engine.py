@@ -21,7 +21,7 @@ from krboot.engine import (
     start_scan,
     step_kr,
 )
-from krboot.graphs import Graph, cone, iter_bits, partner_rows
+from krboot.graphs import Graph, cone, near_cliques
 
 
 def random_instance(rng: random.Random):
@@ -134,11 +134,24 @@ def test_run_equals_oracle_on_random_instances():
         assert run(g, r, host).to_json() == run_oracle(g, r, host).to_json()
 
 
+def closing_pairs(g: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
+    """The rule stated pair by pair, through the clique enumerator rather
+    than the row scan's ``has_clique_rows``: the host pairs (u, v), u < v,
+    missing from ``g`` whose common neighbourhood holds an (r-2)-clique."""
+    adj = g.adj
+    return [
+        (u, v)
+        for u, v in itertools.combinations(range(g.n), 2)
+        if host.has_edge(u, v) and not g.has_edge(u, v)
+        and next(near_cliques(adj, r - 2, adj[u] & adj[v]), None) is not None
+    ]
+
+
 def full_scan_steps(g: Graph, r: int, host: Graph) -> list[list[tuple[int, int]]]:
     """Batches from a scan of every host pair at every step, no pruning at all."""
     g = g.copy()
     steps = []
-    while batch := engine.eligible(g.adj, r, enumerate(host.adj)):
+    while batch := closing_pairs(g, r, host):
         for u, v in batch:
             g.add_edge(u, v)
         steps.append(batch)
@@ -201,8 +214,8 @@ def test_two_hop_first_step_equals_full_scan_on_sparse_starts():
 
 @st.composite
 def partner_instances(draw):
-    """A graph on 1..40 vertices from sparse to nearly complete, random
-    ``limit`` rows, a host holding the graph, and k in 1..4."""
+    """A graph on 1..40 vertices from sparse to nearly complete, a host
+    holding the graph, and k in 1..4."""
     n = draw(st.integers(1, 40))
     k = draw(st.integers(1, 4))
     p = draw(st.sampled_from([0.03, 0.1, 0.3, 0.6, 0.9, 0.98]))
@@ -213,30 +226,16 @@ def partner_instances(draw):
             g.add_edge(u, v)
         if g.has_edge(u, v) or rng.random() < 0.8:
             host.add_edge(u, v)
-    limit = [rng.getrandbits(n) for _ in range(n)]
-    return g.adj, limit, host, k
+    return g, host, k
 
 
 @settings(max_examples=300, deadline=None)
 @given(partner_instances())
-def test_partner_rows_hold_every_pair_with_k_common_neighbours(instance):
-    adj, limit, host, k = instance
-    rows = list(partner_rows(adj, limit, k))
-    assert [u for u, _ in rows] == sorted({u for u, _ in rows})
-    masks = dict(rows)
-    for u, au in enumerate(adj):
-        partners = (limit[u] & ~au) >> (u + 1) << (u + 1)
-        shared = sum(1 << v for v in iter_bits(partners) if (au & adj[v]).bit_count() >= k)
-        mask = masks.get(u, 0)
-        assert mask & ~partners == 0  # above u, inside limit[u], outside N(u)
-        assert shared & ~mask == 0
-        if au.bit_count() * k < partners.bit_count():
-            assert mask == shared
-        else:
-            assert mask == partners
-    assert eligible(adj, k + 2, partner_rows(adj, host.adj, k)) == eligible(
-        adj, k + 2, enumerate(host.adj)
-    )
+def test_row_scan_cut_keeps_every_closing_pair(instance):
+    # sparse rows of low degree have their partners cut to the vertices with
+    # k common neighbours; no pair that closes a K_{k+2} may be cut away
+    g, host, k = instance
+    assert eligible(g.adj, host.adj, k + 2) == closing_pairs(g, k + 2, host)
 
 
 @st.composite
@@ -258,8 +257,9 @@ def hosted_starts(draw):
 
 
 def assert_anchored_step(g, host, r, batch):
-    """``eligible_after`` on both its paths equals a full row scan; returns it."""
-    expected = eligible(g.adj, r, enumerate(host.adj))
+    """``eligible_after`` on both its paths equals the rule checked pair by
+    pair; returns it."""
+    expected = closing_pairs(g, r, host)
     # budget 0 gives the clique-first path up at its first unit of work
     assert eligible_after(g.adj, host.adj, r, batch, 0) == expected
     # no budget the step can reach: clique-first to the end, no row scan
@@ -272,7 +272,7 @@ def assert_anchored_step(g, host, r, batch):
 def test_anchored_step_equals_full_scan_after_every_batch(instance):
     start, r, host = instance
     g = start.copy()
-    while batch := eligible(g.adj, r, enumerate(host.adj)):
+    while batch := closing_pairs(g, r, host):
         for u, v in batch:
             g.add_edge(u, v)
         assert_anchored_step(g, host, r, batch)
@@ -293,7 +293,7 @@ def test_anchored_step_equals_full_scan_on_seeded_slow_starts():
                 host.add_edge(u, v)
                 if rng.random() < p:
                     g.add_edge(u, v)
-        while batch := eligible(g.adj, r, enumerate(host.adj)):
+        while batch := closing_pairs(g, r, host):
             for u, v in batch:
                 g.add_edge(u, v)
             assert_anchored_step(g, host, r, batch)
@@ -327,7 +327,7 @@ def row_scans(fn, *args):
 @given(scan_instances())
 def test_start_scan_equals_row_scan_on_both_paths(instance):
     g, r, host = instance
-    expected = eligible(g.adj, r, enumerate(host.adj))
+    expected = closing_pairs(g, r, host)
     # budget 0: the first clique visited is over it, so the row scan runs
     assert row_scans(start_scan, g.adj, host.adj, r, 0) == (expected, min(g.n, 1))
     # no budget the scan can reach: clique-first to the end
@@ -343,13 +343,20 @@ def test_step_kr_on_complete_graph_falls_back_at_once():
 
 def test_step_kr_falls_back_on_a_dense_start():
     # the first clique, {0, 1}, has the 38-vertex hole as its AND, which is
-    # charged 38 + C(38, 2) units against a budget of the C(38, 2) missing
-    # pairs before any pair is taken from it
+    # charged 1 + 38 + C(38, 2) units against a budget of the C(38, 2)
+    # missing pairs before any pair is taken from it
     g = minimal_percolating(40, 4)
     batch = [e for e in itertools.combinations(range(40), 2) if not g.has_edge(*e)]
+    taken = []  # bit iterations begun when each row scan starts
+
+    def row_scan(*args):
+        taken.append(collect.call_count)
+        return eligible(*args)
+
     with mock.patch.object(engine, "iter_bits", wraps=engine.iter_bits) as collect:
-        assert row_scans(step_kr, g, 4, Graph.complete(40)) == (batch, 1)
-    assert collect.call_count == 0
+        with mock.patch.object(engine, "eligible", side_effect=row_scan):
+            assert step_kr(g, 4, Graph.complete(40)) == batch
+    assert taken == [0]
 
 
 def test_step_kr_takes_the_cliques_on_a_scaffold_start():
@@ -402,7 +409,7 @@ def test_anchored_step_skips_a_dense_common_neighbourhood_with_nothing_to_close(
     g = Graph.from_edges(s + 3, edges)
     host = Graph.complete(s + 3)
     for r in (5, 6, 7):
-        assert eligible(g.adj, r, enumerate(host.adj)) == []
+        assert closing_pairs(g, r, host) == []
         assert row_scans(eligible_after, g.adj, host.adj, r, [(u, v)], s + 3) == ([], 0)
     # one unit less, and the bit counts alone send the step to the row scan
     with mock.patch.object(engine, "near_cliques", wraps=engine.near_cliques) as enum:

@@ -101,6 +101,12 @@ def test_parse_config_explicit_slopes(tmp_path):
          r"sweep\.cfg:3: key 'n' is only read by families built without an input"),
         ("family hB\nn 100\nmax_steps 5\noutput o.csv\n",
          r"sweep\.cfg:3: key 'max_steps' is only read by families that simulate"),
+        ("family chain\nn 20\nn 20\noutput o.csv\n", r"sweep\.cfg:3: n 20 given more than once"),
+        ("family minimal\nn 6\nr 2\noutput o.csv\n", r"sweep\.cfg:3: r must be at least 3"),
+        ("family h6\nn 20\nr 7\noutput o.csv\n", r"sweep\.cfg:3: family h6 has order 6, got r 7"),
+        ("family chain\nn 1\nmax_steps -1\noutput o.csv\n",
+         r"sweep\.cfg:3: max_steps must be non-negative"),
+        ("family hb\nn 50\nb 0\noutput o.csv\n", r"sweep\.cfg:3: b must be at least 1"),
     ],
 )
 def test_parse_config_rejects(tmp_path, text, msg):

@@ -112,6 +112,7 @@ def test_hypergraph_rejects_malformed(tmp_path, text):
         (fileio.read_hypergraph, "5 2 -1\n", 1),  # negative edge count
         (fileio.read_graph, "-1 0\n", 1),  # negative vertex count
         (fileio.read_hypergraph, "5 2 1\n0 1\n# label 5 X 3\n", 3),  # unknown vertex
+        (fileio.read_hypergraph, "5 2 1\n0 1\n# label 2 X 3\n# label 2 Y 4\n", 4),  # relabelled
         (fileio.read_apset, "", 1),  # empty file
         (fileio.read_apset, "-1 0\n", 1),  # negative ambient bound
     ],

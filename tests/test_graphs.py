@@ -12,7 +12,6 @@ from krboot.graphs import (
     cone,
     has_clique_rows,
     near_cliques,
-    pair,
     two_skeleton,
 )
 
@@ -24,13 +23,6 @@ def random_graph(rng: random.Random, n: int) -> Graph:
             if rng.random() < 0.5:
                 g.add_edge(u, v)
     return g
-
-
-def test_pair_normalizes():
-    assert pair(3, 1) == (1, 3)
-    assert pair(0, 2) == (0, 2)
-    with pytest.raises(ValueError):
-        pair(4, 4)
 
 
 def test_graph_basics():
@@ -49,6 +41,8 @@ def test_graph_basics():
         g.add_edge(1, 1)
     with pytest.raises(ValueError):
         g.add_edge(0, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1)
 
 
 def test_graph_edges_sorted_and_copy_independent():

@@ -204,6 +204,10 @@ def test_exhaustive_bounds():
         max_running_time(0, 3)
     with pytest.raises(ValueError):
         max_running_time(4, 2)
+    with pytest.raises(ValueError, match="n >= 1"):
+        max_running_time_sampled(0, 3, 1, 0)
+    with pytest.raises(ValueError, match="r >= 3"):
+        max_running_time_sampled(4, 2, 1, 0)
 
 
 def test_sampled_is_a_lower_bound_and_deterministic():

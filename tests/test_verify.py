@@ -96,6 +96,9 @@ def test_induced_free_passes_on_chain_and_h6():
 def test_induced_free_rejects_uniformity_mismatch():
     with pytest.raises(ValueError):
         check_induced_free(build_chain(2).hypergraph, 6)
+    # uniformity and order agree, but the order is below 3
+    with pytest.raises(ValueError, match="r >= 3"):
+        check_induced_free(UniformHypergraph(3, 2, [(0, 1)]), 2)
 
 
 def test_induced_free_fails_on_triple_overlap():
