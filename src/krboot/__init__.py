@@ -15,7 +15,6 @@ from .constructions import (
     build_hb,
     build_hprime,
     minimal_percolating,
-    starting_graph,
 )
 from .engine import PercolationTrace, replay, run, run_oracle, step_kr
 from .graphs import (
@@ -63,7 +62,6 @@ __all__ = [
     "replay",
     "run",
     "run_oracle",
-    "starting_graph",
     "step_kr",
     "two_skeleton",
     "verify_construction",

@@ -41,11 +41,6 @@ class ConstructionOutput:
         return (self.hypergraph if self.hypergraph is not None else self.start).n
 
 
-def starting_graph(c: ConstructionOutput) -> Graph:
-    """Recompute the start graph: 2-skeleton minus the designated pairs."""
-    return _minus_pairs(two_skeleton(c.hypergraph), c.f_pairs)
-
-
 def _minus_pairs(skel: Graph, f_pairs: list[tuple[int, int]]) -> Graph:
     g = skel.copy()
     for u, v in f_pairs:
@@ -302,12 +297,15 @@ def minimal_percolating(n: int, r: int) -> Graph:
 
 class Family(NamedTuple):
     """``builder`` takes the values of ``params`` in order; ``default_r`` is the
-    process order the family is built for (None: the caller picks); ``parts``
-    names the ``ConstructionOutput`` fields it fills."""
+    process order the family is built for (None: the caller picks);
+    ``min_size`` is the least size, the sweep's ``n`` (``m`` for chain), that
+    ``builder`` accepts with any other parameters (None: the family has no
+    size); ``parts`` names the ``ConstructionOutput`` fields it fills."""
 
     builder: Callable
     params: tuple[str, ...]
     default_r: int | None
+    min_size: int | None
     parts: tuple[str, ...] = ("hypergraph", "f_pairs", "skeleton", "start")
 
 
@@ -319,13 +317,16 @@ def _cone_of(input: str) -> Graph:
 
 
 FAMILIES: dict[str, Family] = {
-    "h6": Family(build_h6, ("n",), 6),
-    "chain": Family(build_chain, ("m",), 5),
-    "hb": Family(build_hb, ("n", "b"), 5, ("hypergraph",)),
-    "hB": Family(build_hB, ("n", "B"), 5, ("hypergraph",)),
-    "hprime": Family(build_hprime, ("n", "B"), 5),
-    "minimal": Family(minimal_percolating, ("n", "r"), None, ("start",)),
-    "cone-of": Family(_cone_of, ("input",), None, ("start",)),
+    "h6": Family(build_h6, ("n",), 6, 10),
+    "chain": Family(build_chain, ("m",), 5, 1),
+    # a slope b needs 1 <= b <= (n - 1) // 2
+    "hb": Family(build_hb, ("n", "b"), 5, 3, ("hypergraph",)),
+    "hB": Family(build_hB, ("n", "B"), 5, 3, ("hypergraph",)),
+    # slopes are positive multiples of 10, at most n // 4
+    "hprime": Family(build_hprime, ("n", "B"), 5, 40),
+    # 3 <= r <= n
+    "minimal": Family(minimal_percolating, ("n", "r"), None, 3, ("start",)),
+    "cone-of": Family(_cone_of, ("input",), None, None, ("start",)),
 }
 
 

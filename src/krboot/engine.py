@@ -26,6 +26,13 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
 
 Both clique-first scans charge and collect each clique's AND through
 ``_collect_pairs``.  Every route gives the same batch.
+
+The kernel keeps the current graph inside the host: ``_check_inputs``
+refuses a start with an edge outside it, and every pair the kernel adds is a
+host pair.  So ``adj[x]`` is a subset of ``host_adj[x]`` at every kernel
+call, and x's non-adjacent host partners are ``host_adj[x] ^ adj[x]``,
+which is one operation where ``host_adj[x] & ~adj[x]`` is two.
+
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
 scratch and shares no step logic with the kernel.
 """
@@ -170,7 +177,7 @@ def _collect_pairs(
         if spent > budget:
             raise OverBudget
         for a in iter_bits(common):
-            partners = (common & host_adj[a] & ~adj[a]) >> (a + 1)
+            partners = (common & (host_adj[a] ^ adj[a])) >> (a + 1)
             for b in iter_bits(partners):
                 found.add((a, a + 1 + b))
     return spent
@@ -193,7 +200,7 @@ def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int
     batch: list[tuple[int, int]] = []
     for u, au in enumerate(adj):
         base = u + 1
-        cand = (host_adj[u] & ~au) >> base
+        cand = (host_adj[u] ^ au) >> base
         if au.bit_count() * k < cand.bit_count():
             levels = [0] * k
             for w in iter_bits(au):
@@ -248,14 +255,14 @@ def eligible_after(
         for u, v in batch:
             c = adj[u] & adj[v]
             # case 2's candidates w, for x = u and for x = v
-            wu = adj[v] & host_adj[u] & ~adj[u]
-            wv = adj[u] & host_adj[v] & ~adj[v]
+            wu = adj[v] & (host_adj[u] ^ adj[u])
+            wv = adj[u] & (host_adj[v] ^ adj[v])
             # C's vertices with a non-adjacent host partner in C (case 1's
             # pairs lie among them), and those adjacent to some w
             inner = near = 0
             if r >= 4:
                 for a in iter_bits(c):
-                    if c & host_adj[a] & ~adj[a]:
+                    if c & (host_adj[a] ^ adj[a]):
                         inner |= 1 << a
                     if adj[a] & (wu | wv):
                         near |= 1 << a

@@ -127,6 +127,8 @@ def parse_config(path) -> ExperimentConfig:
     for i, n in enumerate(ns):
         if n in ns[:i]:
             raise ValueError(f"{at('n', i)}: n {n} given more than once")
+        if fam.min_size is not None and n < fam.min_size:
+            raise ValueError(f"{at('n', i)}: family {family} needs n >= {fam.min_size}, got n {n}")
     r = one_int("r", fam.default_r)
     if r is None:
         raise ValueError(f"{at('family')}: family {family!r} needs an explicit 'r'")

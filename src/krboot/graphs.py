@@ -164,12 +164,22 @@ class UniformHypergraph:
 
 
 def two_skeleton(h: UniformHypergraph) -> Graph:
-    """Graph on the same vertex set whose edges are all pairs inside hyperedges."""
+    """Graph on the same vertex set whose edges are all pairs inside hyperedges.
+
+    Each hyperedge's vertex mask is ORed into each of its rows, and the
+    loops this puts on the diagonal are cleared at the end; the vertices
+    were range-checked when ``h`` was made.
+    """
     g = Graph(h.n)
+    adj = g.adj
     for e in h.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                g.add_edge(e[i], e[j])
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            adj[v] |= mask
+    for v in range(h.n):
+        adj[v] &= ~(1 << v)
     return g
 
 

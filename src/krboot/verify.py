@@ -35,17 +35,27 @@ def check_induced_free(
     An r-set spanning at least C(r,2) - 1 skeleton edges is an (r-2)-clique Q
     plus a pair {u, v} from Q's common neighbourhood, with {u, v} the one
     possibly-missing pair.  So the check enumerates each (r-2)-clique Q once,
-    with ``graphs.near_cliques``, and takes every pair u < v of the AND of
-    Q's rows: the candidate Q + {u, v} must equal some hyperedge's vertex
-    set.  These (u, v, Q) triples are exactly those of a sweep over vertex
-    pairs in ascending order that lists each pair's common-neighbourhood
-    cliques in lexicographic order, and the report keeps that sweep's order:
-    the witness is the candidate of the least failing triple, and ``verbose``
-    lists every failing candidate once, in the order of its least triple.
+    with ``graphs.near_cliques``, and counts the pairs u < v of the AND of
+    Q's rows: each (u, v, Q) triple is a candidate Q + {u, v}, and a pass
+    means every candidate is some hyperedge's vertex set.
+
+    A pass is decided by that count alone.  A K_r gives C(r,2) triples, one
+    for each of its pairs; an r-set missing one edge {a, b} gives exactly
+    one, with Q the rest of it; and every hyperedge is a K_r of its
+    skeleton.  So the triples number at least C(r,2) per distinct
+    hyperedge, with equality iff no other r-set is near-complete, which is
+    the pass.
+
+    Only a count above that runs the triple walk, which takes the sweep's
+    order: over vertex pairs in ascending order, each pair's
+    common-neighbourhood cliques in lexicographic order.  The witness is the
+    candidate of the least failing triple, and ``verbose`` lists every
+    failing candidate once, in the order of its least triple.
 
     ``stats["cliques"]`` counts the (r-2)-cliques of the skeleton,
     ``stats["candidates"]`` the triples and ``stats["pairs"]`` the C(n, 2)
-    vertex pairs; all three are the same with or without ``verbose``.
+    vertex pairs; all three are the same with or without ``verbose``, and
+    whether or not the walk runs.
     """
     if h.r != r:
         raise ValueError(f"hypergraph is {h.r}-uniform, expected {r}")
@@ -54,18 +64,21 @@ def check_induced_free(
     n = h.n
     skel = two_skeleton(h)
     edge_sets = set(h.edges)
-    stats = {"pairs": n * (n - 1) // 2, "cliques": 0, "candidates": 0}
+    cliques = candidates = 0
+    for _, common in near_cliques(skel.adj, r - 2):
+        cliques += 1
+        c = common.bit_count()
+        candidates += c * (c - 1) // 2
+    stats = {"pairs": n * (n - 1) // 2, "cliques": cliques, "candidates": candidates}
+    if candidates == len(edge_sets) * (r * (r - 1) // 2):
+        return VerificationReport(True, None, None, stats)
     bad: list[tuple[int, int, tuple[int, ...]]] = []
     for clique, common in near_cliques(skel.adj, r - 2):
-        stats["cliques"] += 1
         for u in iter_bits(common):
             for v in iter_bits(common >> (u + 1)):
                 v += u + 1
-                stats["candidates"] += 1
                 if tuple(sorted(clique + (u, v))) not in edge_sets:
                     bad.append((u, v, clique))
-    if not bad:
-        return VerificationReport(True, None, None, stats)
     bad.sort()
     wu, wv, wq = bad[0]
     witness = tuple(sorted(wq + (wu, wv)))

@@ -4,15 +4,16 @@ import pytest
 
 from krboot.apsets import ApSet
 from krboot.constructions import (
-    ConstructionOutput,
+    FAMILIES,
     IntegrityError,
+    _minus_pairs,
+    build,
     build_chain,
     build_h6,
     build_hB,
     build_hb,
     build_hprime,
     minimal_percolating,
-    starting_graph,
 )
 from krboot.graphs import Graph, two_skeleton
 
@@ -258,28 +259,22 @@ def test_hprime_input_validation():
 # ---------------------------------------------------------------- assembly
 
 
-def test_starting_graph_recomputes_start():
+def test_start_is_the_skeleton_minus_the_designated_pairs():
     for c in (build_chain(4), build_h6(20), build_hprime(100, ApSet(10, (10,)))):
-        assert starting_graph(c) == c.start
+        assert set(c.start.edges()) == set(c.skeleton.edges()) - set(c.f_pairs)
         assert c.start.edge_count() == c.skeleton.edge_count() - len(c.f_pairs)
 
 
-def test_starting_graph_rejects_foreign_pair():
+def test_minus_pairs_rejects_foreign_pair():
     c = build_chain(2)
-    broken = ConstructionOutput(
-        c.hypergraph, [(0, 1), (0, 7)], c.skeleton, c.start, {}
-    )
     with pytest.raises(IntegrityError):
-        starting_graph(broken)
+        _minus_pairs(c.skeleton, [(0, 1), (0, 7)])
 
 
-def test_starting_graph_rejects_duplicate_pair():
+def test_minus_pairs_rejects_duplicate_pair():
     c = build_chain(2)
-    broken = ConstructionOutput(
-        c.hypergraph, [(3, 4), (3, 4)], c.skeleton, c.start, {}
-    )
     with pytest.raises(IntegrityError):
-        starting_graph(broken)
+        _minus_pairs(c.skeleton, [(3, 4), (3, 4)])
 
 
 def test_assemble_builds_the_skeleton_once(monkeypatch):
@@ -294,7 +289,7 @@ def test_assemble_builds_the_skeleton_once(monkeypatch):
     monkeypatch.setattr(constructions, "two_skeleton", counting)
     c = build_chain(5)
     assert len(calls) == 1
-    assert c.start == starting_graph(c)
+    assert c.start == _minus_pairs(c.skeleton, c.f_pairs)
 
 
 def test_skeleton_field_matches_two_skeleton():
@@ -325,3 +320,25 @@ def test_minimal_percolating_bounds():
         minimal_percolating(5, 6)
     with pytest.raises(ValueError):
         minimal_percolating(5, 2)
+
+
+# the least-size parameters each family can be built from
+SMALLEST = {
+    "h6": {},
+    "chain": {},
+    "hb": {"b": 1},
+    "hB": {"B": ApSet(1, (1,))},
+    "hprime": {"B": ApSet(10, (10,))},
+    "minimal": {"r": 3},
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_min_size_is_the_builders_floor(family):
+    size = FAMILIES[family].min_size
+    if family not in SMALLEST:  # built from an input file, at its order
+        assert size is None and "input" in FAMILIES[family].params
+        return
+    build(family, n=size, m=size, **SMALLEST[family])
+    with pytest.raises(ValueError):
+        build(family, n=size - 1, m=size - 1, **SMALLEST[family])

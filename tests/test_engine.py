@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -489,6 +490,46 @@ def test_trace_json_round_trip():
     again = PercolationTrace.from_json(t.to_json())
     assert again == t
     assert again.to_json() == t.to_json()
+
+
+def seeded_near_complete_start(seed: int, n: int, p_start: float):
+    """A host with each pair of K_n at probability 0.95, and a start holding
+    each host pair at probability ``p_start``."""
+    rng = random.Random(seed)
+    host, g = Graph(n), Graph(n)
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.95:
+            host.add_edge(u, v)
+            if rng.random() < p_start:
+                g.add_edge(u, v)
+    return g, host
+
+
+def pinned_instance(name: str):
+    if name == "hprime-400":  # the sweep's slopes: digits3 on [1, 10], scaled by 10
+        reduced = ap_digits3(10)
+        c = build_hprime(400, ApSet(10 * reduced.n, tuple(10 * b for b in reduced.elements)))
+        return c.start, 5, Graph.complete(c.hypergraph.n)
+    if name == "h6-200":
+        c = build_h6(200)
+        return c.start, 6, Graph.complete(c.hypergraph.n)
+    # ten steps at r = 6 that mix row scans with clique-first anchored steps
+    g, host = seeded_near_complete_start(12, 40, 0.3)
+    return g, 6, host
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("hprime-400", "0fc2969bb020c7156f158d3fb86565c08dccccbf0e2a4ec2425310a3e1da1d0b"),
+        ("h6-200", "4b0ba214c40d3c4fc6801915007944b17488e87c63274e4a14848d2914b9d5da"),
+        ("near-complete-r6", "13ebbbb4ed68413c58206f44aa2a6bb9cfb9c4bd807f6a05ffe7c6de8295954a"),
+    ],
+)
+def test_trace_bytes_are_pinned_on_scaffolds_and_a_dense_start(name, digest):
+    # a kernel change must leave every trace byte-identical
+    trace = run(*pinned_instance(name))
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
 
 
 @pytest.mark.slow

@@ -107,6 +107,11 @@ def test_parse_config_explicit_slopes(tmp_path):
         ("family chain\nn 1\nmax_steps -1\noutput o.csv\n",
          r"sweep\.cfg:3: max_steps must be non-negative"),
         ("family hb\nn 50\nb 0\noutput o.csv\n", r"sweep\.cfg:3: b must be at least 1"),
+        ("family chain\nn 0\noutput o.csv\n", r"sweep\.cfg:2: family chain needs n >= 1, got n 0"),
+        ("family h6\nn 20\nn -3\noutput o.csv\n",
+         r"sweep\.cfg:3: family h6 needs n >= 10, got n -3"),
+        ("family hprime\nn 10\noutput o.csv\n",
+         r"sweep\.cfg:2: family hprime needs n >= 40, got n 10"),
     ],
 )
 def test_parse_config_rejects(tmp_path, text, msg):

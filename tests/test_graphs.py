@@ -113,6 +113,23 @@ def test_two_skeleton_overlap_counts_shared_pair_once():
     assert two_skeleton(h).edge_count() == 19
 
 
+def test_two_skeleton_matches_pairwise_reference():
+    # overlapping and repeated edges at r = 2..6; the reference adds each
+    # pair of each edge on its own
+    rng = random.Random(31)
+    for _ in range(200):
+        r = rng.randint(2, 6)
+        n = rng.randint(r, 12)
+        drawn = [rng.sample(range(n), r) for _ in range(rng.randint(0, 5))]
+        repeats = rng.choices(drawn, k=rng.randint(0, 3)) if drawn else []
+        h = UniformHypergraph(n, r, drawn + repeats)
+        ref = Graph(n)
+        for e in drawn:
+            for u, v in itertools.combinations(e, 2):
+                ref.add_edge(u, v)
+        assert two_skeleton(h) == ref
+
+
 def test_cone_examples():
     assert cone(Graph.complete(3)) == Graph.complete(4)
     single = cone(Graph(0))

@@ -83,6 +83,18 @@ def random_hypergraphs(seed: int, count: int):
         yield UniformHypergraph(n, 4, sorted(edges))
 
 
+def random_hypergraphs_with_repeats(seed: int, count: int):
+    """(h, r) at r = 3..5 whose edge list names some hyperedges more than once."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(3, 5)
+        n = rng.randint(r + 1, 9)
+        drawn = [tuple(rng.sample(range(n), r)) for _ in range(rng.randint(1, 3))]
+        edges = drawn + rng.choices(drawn, k=rng.randint(1, 3))
+        rng.shuffle(edges)
+        yield UniformHypergraph(n, r, edges), r
+
+
 OVERLAP3 = UniformHypergraph(7, 5, [(0, 1, 2, 3, 4), (2, 3, 4, 5, 6)])
 
 
@@ -185,6 +197,42 @@ def test_induced_free_failing_report_is_pinned():
     digest = hashlib.sha256(repr(rep.failures).encode()).hexdigest()
     assert digest == "62033c4996c1f5f9571270164dcf65f8f2b5e49bef85bb0b78df48e5b5702c5a"
     assert rep.stats == {"pairs": 528, "cliques": 202, "candidates": 760}
+
+
+def test_induced_free_counts_a_repeated_hyperedge_once():
+    # a pass is decided by the count C(r, 2) per distinct hyperedge, so a
+    # repeated edge must not raise the count that a pass needs
+    chain = build_chain(3).hypergraph
+    cases = [(UniformHypergraph(chain.n, 5, chain.edges + [chain.edges[1]]), 5)]
+    cases += random_hypergraphs_with_repeats(1729, 80)
+    passing = 0
+    for h, r in cases:
+        assert len(set(h.edges)) < len(h.edges)
+        candidates = all_pairs_sweep(h, r, True)[3]
+        for verbose in (False, True):
+            rep = check_induced_free(h, r, verbose)
+            passed, witness, failures, _, _ = all_pairs_sweep(h, r, verbose)
+            assert (rep.passed, rep.witness, rep.failures) == (passed, witness, failures)
+            assert rep.stats["candidates"] == candidates
+        assert rep.passed == (not naive_offenders(h, r))
+        passing += rep.passed
+    assert 10 <= passing < len(cases)
+
+
+def test_induced_free_passes_exactly_when_the_count_is_met():
+    reduced = ap_digits3(10)
+    cases = [(h, 4) for h in random_hypergraphs(420, 60)]
+    cases += random_hypergraphs_with_repeats(1729, 80)
+    cases += [
+        (OVERLAP3, 5),
+        (build_chain(3).hypergraph, 5),
+        (build_h6(20).hypergraph, 6),
+        (build_hprime(400, ApSet(10 * reduced.n, tuple(10 * b for b in reduced.elements))).hypergraph, 5),
+        (build_hB(10, ApSet(3, (1, 2, 3))), 5),
+    ]
+    for h, r in cases:
+        rep = check_induced_free(h, r)
+        assert rep.passed == (rep.stats["candidates"] == len(set(h.edges)) * r * (r - 1) // 2)
 
 
 def test_pair_condition_passes_on_builders():
