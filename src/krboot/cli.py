@@ -26,9 +26,7 @@ def _parse_slope_list(text: str) -> ApSet:
 # construct's family parameters: flag -> (type, help); which family reads
 # which flag comes from constructions.FAMILIES
 _CONSTRUCT_FLAGS = {
-    "n": (int, "size parameter"),
-    "m": (int, "chain length"),
-    "b": (int, "single slope"),
+    "n": (int, "size; the edge count for chain"),
     "B": (str, "comma-separated slopes"),
     "r": (int, "process order"),
     "input": (str, "graph file to cone over"),

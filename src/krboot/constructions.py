@@ -25,8 +25,8 @@ class ConstructionOutput:
 
     ``f_pairs[i]`` is contained in ``hypergraph.edges[i]``; ``start`` is the
     2-skeleton with exactly those pairs deleted.  Parts a family does not
-    make are None: hb and hB make only the hypergraph, minimal and cone-of
-    only the start graph.
+    make are None: hB makes only the hypergraph, minimal and cone-of only
+    the start graph.
     """
 
     hypergraph: UniformHypergraph | None = None
@@ -298,9 +298,9 @@ def minimal_percolating(n: int, r: int) -> Graph:
 class Family(NamedTuple):
     """``builder`` takes the values of ``params`` in order; ``default_r`` is the
     process order the family is built for (None: the caller picks);
-    ``min_size`` is the least size, the sweep's ``n`` (``m`` for chain), that
-    ``builder`` accepts with any other parameters (None: the family has no
-    size); ``parts`` names the ``ConstructionOutput`` fields it fills."""
+    ``min_size`` is the least size ``n`` that ``builder`` accepts with any
+    other parameters (None: the family has no size); ``parts`` names the
+    ``ConstructionOutput`` fields it fills."""
 
     builder: Callable
     params: tuple[str, ...]
@@ -318,9 +318,8 @@ def _cone_of(input: str) -> Graph:
 
 FAMILIES: dict[str, Family] = {
     "h6": Family(build_h6, ("n",), 6, 10),
-    "chain": Family(build_chain, ("m",), 5, 1),
-    # a slope b needs 1 <= b <= (n - 1) // 2
-    "hb": Family(build_hb, ("n", "b"), 5, 3, ("hypergraph",)),
+    "chain": Family(build_chain, ("n",), 5, 1),
+    # a slope b needs 1 <= b <= (n - 1) // 2; one slope b is the paper's H_b
     "hB": Family(build_hB, ("n", "B"), 5, 3, ("hypergraph",)),
     # slopes are positive multiples of 10, at most n // 4
     "hprime": Family(build_hprime, ("n", "B"), 5, 40),
@@ -341,7 +340,7 @@ def build(family: str, **params) -> ConstructionOutput:
 
 
 def read_by(param: str) -> str:
-    """The families that read ``param``: 'family hb', 'families hB and hprime'."""
+    """The families that read ``param``: 'family cone-of', 'families hB and hprime'."""
     names = [name for name, fam in FAMILIES.items() if param in fam.params]
     if len(names) == 1:
         return f"family {names[0]}"

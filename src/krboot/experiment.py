@@ -48,9 +48,8 @@ class ExperimentConfig:
     ns: list[int]
     r: int
     output: str
-    b: int | None = None
     b_source: str = "digits3"
-    b_explicit: list[int] = field(default_factory=list)
+    B: list[int] = field(default_factory=list)  # the 'B' lines; given, b_source is unread
     input: str | None = None
     max_steps: int | None = None
     jobs: int = 1
@@ -60,7 +59,6 @@ _KNOWN_KEYS = {
     "family",
     "n",
     "r",
-    "b",
     "b_source",
     "B",
     "input",
@@ -121,14 +119,6 @@ def parse_config(path) -> ExperimentConfig:
     output = one("output")
     if output is None:
         raise ValueError(f"{path}: missing required key 'output'")
-    ns = ints("n")
-    if not ns and "input" not in fam.params:  # else swept at the input's order
-        raise ValueError(f"{path}: at least one 'n' required")
-    for i, n in enumerate(ns):
-        if n in ns[:i]:
-            raise ValueError(f"{at('n', i)}: n {n} given more than once")
-        if fam.min_size is not None and n < fam.min_size:
-            raise ValueError(f"{at('n', i)}: family {family} needs n >= {fam.min_size}, got n {n}")
     r = one_int("r", fam.default_r)
     if r is None:
         raise ValueError(f"{at('family')}: family {family!r} needs an explicit 'r'")
@@ -137,44 +127,38 @@ def parse_config(path) -> ExperimentConfig:
     if fam.default_r is not None and r != fam.default_r:
         raise ValueError(f"{at('r')}: family {family} has order {fam.default_r}, got r {r}")
     b_source = one("b_source", "digits3")
-    if b_source != "explicit" and b_source not in SOURCES:
+    if b_source not in SOURCES:
         raise ValueError(f"{at('b_source')}: unknown b_source {b_source!r}")
-    b_explicit = ints("B")
-    for i, b in enumerate(b_explicit):
+    slopes = ints("B")
+    for i, b in enumerate(slopes):
         if b < 1:
             raise ValueError(f"{at('B', i)}: slope {b} must be positive")
-        if b in b_explicit[:i]:
+        if b in slopes[:i]:
             raise ValueError(f"{at('B', i)}: slope {b} given more than once")
-    if b_source == "explicit" and not b_explicit:
-        raise ValueError(f"{at('b_source')}: b_source explicit needs 'B' entries")
     cfg = ExperimentConfig(
         family=family,
-        ns=ns,
+        ns=ints("n"),
         r=r,
         output=output,
-        b=one_int("b"),
         b_source=b_source,
-        b_explicit=b_explicit,
+        B=slopes,
         input=one("input"),
         max_steps=None if one("max_steps", "auto") == "auto" else one_int("max_steps"),
         jobs=one_int("jobs", 1),
     )
-    for key in ("b", "input"):
-        if key in fam.params and getattr(cfg, key) is None:
-            raise ValueError(f"{at('family')}: family {family} needs '{key}'")
+    if "input" in fam.params and cfg.input is None:
+        raise ValueError(f"{at('family')}: family {family} needs 'input'")
     if cfg.jobs < 1:
         raise ValueError(f"{at('jobs')}: jobs must be >= 1")
-    if cfg.b is not None and cfg.b < 1:
-        raise ValueError(f"{at('b')}: b must be at least 1, got {cfg.b}")
     if cfg.max_steps is not None and cfg.max_steps < 0:
         raise ValueError(f"{at('max_steps')}: max_steps must be non-negative")
     read_by = constructions.read_by
     unread = [
         # a family built from an input file is swept at the input's order
         ("n", "input" in fam.params, "families built without an input"),
-        ("b", "b" not in fam.params, read_by("b")),
-        ("b_source", "B" not in fam.params, read_by("B")),
-        ("B", b_source != "explicit", "b_source explicit"),
+        # 'B' lines are the slopes themselves
+        ("b_source", "B" not in fam.params or "B" in pairs, f"{read_by('B')} without 'B' lines"),
+        ("B", "B" not in fam.params, read_by("B")),
         ("input", "input" not in fam.params, read_by("input")),
         ("max_steps", "start" not in fam.parts, "families that simulate"),
     ]
@@ -182,6 +166,18 @@ def parse_config(path) -> ExperimentConfig:
     if found:
         lineno, key, who = min(found)
         raise ValueError(f"{path}:{lineno}: key {key!r} is only read by {who}")
+    if not cfg.ns and "input" not in fam.params:  # else swept at the input's order
+        raise ValueError(f"{path}: at least one 'n' required")
+    least = r if "r" in fam.params else fam.min_size  # minimal builds K_r in K_n
+    for i, n in enumerate(cfg.ns):
+        if n in cfg.ns[:i]:
+            raise ValueError(f"{at('n', i)}: n {n} given more than once")
+        if least is not None and n < least:
+            raise ValueError(f"{at('n', i)}: family {family} needs n >= {least}, got n {n}")
+        try:
+            _slopes_for(cfg, n)
+        except ValueError as exc:
+            raise ValueError(f"{at('n', i)}: {exc}") from None
     return cfg
 
 
@@ -189,12 +185,15 @@ def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet | None:
     """The slope set for point ``n``; None for a family that reads none."""
     if "B" not in constructions.FAMILIES[cfg.family].params:
         return None
-    if cfg.b_source == "explicit":
-        return ApSet(max(cfg.b_explicit), tuple(sorted(cfg.b_explicit)))
+    if cfg.B:
+        return ApSet(max(cfg.B), tuple(sorted(cfg.B)))
     bound = n // 40
     if bound < 1:
         raise ValueError(f"n={n} too small to generate slopes (need n >= 40)")
-    reduced = SOURCES[cfg.b_source](bound)
+    try:
+        reduced = SOURCES[cfg.b_source](bound)
+    except ValueError as exc:
+        raise ValueError(f"n={n} needs {cfg.b_source} slopes on [1, {bound}]: {exc}") from None
     scaled = tuple(10 * b for b in reduced.elements)
     return ApSet(10 * reduced.n, scaled)
 
@@ -202,22 +201,18 @@ def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet | None:
 def _point_cells(cfg: ExperimentConfig, n: int, slopes: ApSet | None) -> dict[str, str]:
     """The cells that say which computation a row is; blank when not applicable.
 
-    ``B`` lists the slopes handed to the builder (``b`` for hb),
-    ``max_steps`` the engine budget for families that simulate, and ``input``
-    the sha256 of the cone-of input file's bytes.
+    ``B`` lists the slopes handed to the builder, ``max_steps`` the engine
+    budget for families that simulate, and ``input`` the sha256 of the
+    cone-of input file's bytes.
     """
     fam = constructions.FAMILIES[cfg.family]
-    if slopes is not None:
-        b_cell = ";".join(map(str, slopes.elements))
-    else:
-        b_cell = str(cfg.b) if "b" in fam.params else ""
     simulated_budget = "start" in fam.parts and cfg.max_steps is not None
     return {
         "family": cfg.family,
         "n": str(n),
         "r": str(cfg.r),
         "B_size": str(len(slopes.elements)) if slopes is not None else "",
-        "B": b_cell,
+        "B": ";".join(map(str, slopes.elements)) if slopes is not None else "",
         "max_steps": str(cfg.max_steps) if simulated_budget else "",
         "input": _file_sha256(cfg.input) if "input" in fam.params else "",
     }
@@ -244,9 +239,7 @@ def compute_row(
     row = {key: "" for key in CSV_FIELDS}
     row.update(_point_cells(cfg, n, slopes))
 
-    c = constructions.build(
-        cfg.family, n=n, m=n, b=cfg.b, B=slopes, r=cfg.r, input=cfg.input
-    )
+    c = constructions.build(cfg.family, n=n, B=slopes, r=cfg.r, input=cfg.input)
     row["vertices"] = str(c.vertices)
     if c.hypergraph is not None:
         row["m"] = str(len(c.hypergraph.edges))

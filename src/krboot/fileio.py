@@ -64,8 +64,8 @@ def read_graph(path) -> Graph:
     if not lines:
         raise _fail(path, 1, "empty graph file")
     n, m = _int_fields(lines[0], 2, path, 1)
-    if n < 0:
-        raise _fail(path, 1, f"vertex count must be non-negative, got {n}")
+    if n < 0 or m < 0:
+        raise _fail(path, 1, f"need n >= 0 and m >= 0, got {n} {m}")
     if len(lines) != m + 1:
         raise _fail(path, len(lines), f"expected {m} edge lines, got {len(lines) - 1}")
     g = Graph(n)
@@ -160,8 +160,8 @@ def read_apset(path) -> ApSet:
     if not lines:
         raise _fail(path, 1, "empty set file")
     n, k = _int_fields(lines[0], 2, path, 1)
-    if n < 0:
-        raise _fail(path, 1, f"ambient bound must be non-negative, got {n}")
+    if n < 0 or k < 0:
+        raise _fail(path, 1, f"need n >= 0 and k >= 0, got {n} {k}")
     if len(lines) != k + 1:
         raise _fail(path, len(lines), f"expected {k} element lines")
     elems: list[int] = []

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pathlib
+import re
 
 import pytest
 
-from krboot import experiment, fileio
+from krboot import cli, experiment, fileio
 from krboot.cli import main
-from krboot.constructions import build_chain, build_h6, minimal_percolating
+from krboot.constructions import FAMILIES, build_chain, build_h6, minimal_percolating
 from krboot.graphs import Graph, UniformHypergraph, two_skeleton
 
 
@@ -33,16 +35,16 @@ def test_construct_h6_writes_all_four_files(tmp_path, capsys):
 
 def test_construct_chain(tmp_path, capsys):
     prefix = str(tmp_path / "c")
-    assert run_cli("construct", "--family", "chain", "--m", "3", "--out-prefix", prefix) == 0
+    assert run_cli("construct", "--family", "chain", "--n", "3", "--out-prefix", prefix) == 0
     ref = build_chain(3)
     assert fileio.read_graph(prefix + ".start.txt") == ref.start
     assert fileio.read_fpairs(prefix + ".fpairs.txt") == ref.f_pairs
 
 
 def test_construct_hb_and_hB_write_hypergraph_only(tmp_path, capsys):
-    prefix = str(tmp_path / "hb")
+    prefix = str(tmp_path / "hb")  # one slope: the paper's H_b
     assert run_cli(
-        "construct", "--family", "hb", "--n", "100", "--b", "10", "--out-prefix", prefix
+        "construct", "--family", "hB", "--n", "100", "--B", "10", "--out-prefix", prefix
     ) == 0
     assert "vertices=303 hyperedges=80" in capsys.readouterr().out
     h = fileio.read_hypergraph(prefix + ".hypergraph.txt")
@@ -76,11 +78,11 @@ def test_construct_minimal_and_cone(tmp_path, capsys):
     assert (lifted.n, lifted.edge_count()) == (8, 18)
 
 
-# flags, stdout line and sha256 of every file written, per family; the
-# cone-of input is the minimal (6, 4) start written by fileio.write_graph
+# family and flags, stdout line and sha256 of every file written, per case;
+# the cone-of input is the minimal (6, 4) start written by fileio.write_graph
 CONSTRUCT_GOLDEN = {
     "h6": (
-        ["--n", "10"],
+        ["--family", "h6", "--n", "10"],
         "vertices=80 hyperedges=1 skeleton_edges=15 start_edges=14",
         {
             "fpairs.txt": "f628e5932b58e6a7dd441cf37219299e0cb65eb52d12d00f2c602327718afd63",
@@ -90,7 +92,7 @@ CONSTRUCT_GOLDEN = {
         },
     ),
     "chain": (
-        ["--m", "3"],
+        ["--family", "chain", "--n", "3"],
         "vertices=11 hyperedges=3 skeleton_edges=28 start_edges=25",
         {
             "fpairs.txt": "844182dfcfb3b2423f648c98a8c51a60b2d599fcb5b1ea6783352bef3c340861",
@@ -99,18 +101,18 @@ CONSTRUCT_GOLDEN = {
             "start.txt": "da71b76c76d5b4aa56c3ef69cbd9a116c455caa5f0c553ba5cd7c13f2ffcc4db",
         },
     ),
-    "hb": (
-        ["--n", "20", "--b", "3"],
+    "hb": (  # the paper's H_b, b = 3: hB with one slope
+        ["--family", "hB", "--n", "20", "--B", "3"],
         "vertices=63 hyperedges=14",
         {"hypergraph.txt": "1d69bb70276c1e50424eae908b46164581af68dffd2badda26522130afcd65fe"},
     ),
     "hB": (
-        ["--n", "20", "--B", "1,2,4"],
+        ["--family", "hB", "--n", "20", "--B", "1,2,4"],
         "vertices=63 hyperedges=46",
         {"hypergraph.txt": "f088df839d24389066a32fcd8dc15c4b5375512d70b971eac1a9b8be89aa7370"},
     ),
     "hprime": (
-        ["--n", "100", "--B", "10,20"],
+        ["--family", "hprime", "--n", "100", "--B", "10,20"],
         "vertices=310 hyperedges=141 skeleton_edges=1154 start_edges=1013",
         {
             "fpairs.txt": "f698436578ce6343087710cc9e2a345192ae1e019b6a924a7428413f7f234949",
@@ -120,31 +122,43 @@ CONSTRUCT_GOLDEN = {
         },
     ),
     "minimal": (
-        ["--n", "7", "--r", "4"],
+        ["--family", "minimal", "--n", "7", "--r", "4"],
         "vertices=7 start_edges=11",
         {"start.txt": "17c52a360b9e518b21916959aa3f196c7c791e43c2102cc4abfd4466156a80c0"},
     ),
     "cone-of": (
-        ["--input", "base.txt"],
+        ["--family", "cone-of", "--input", "base.txt"],
         "vertices=7 start_edges=15",
         {"start.txt": "4fc0b6279845eabc33fe9d9f6b891a4bc01e5b9afa3f4567ca867c53bb37f004"},
     ),
 }
 
 
-@pytest.mark.parametrize("family", list(CONSTRUCT_GOLDEN))
-def test_construct_golden_output(tmp_path, capsys, monkeypatch, family):
-    flags, line, digests = CONSTRUCT_GOLDEN[family]
+@pytest.mark.parametrize("case", list(CONSTRUCT_GOLDEN))
+def test_construct_golden_output(tmp_path, capsys, monkeypatch, case):
+    flags, line, digests = CONSTRUCT_GOLDEN[case]
     monkeypatch.chdir(tmp_path)
     fileio.write_graph(minimal_percolating(6, 4), "base.txt")
     (tmp_path / "out").mkdir()
-    assert run_cli("construct", "--family", family, *flags, "--out-prefix", "out/x") == 0
+    assert run_cli("construct", *flags, "--out-prefix", "out/x") == 0
     assert capsys.readouterr().out == line + "\n"
     written = {
         p.name[2:]: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in (tmp_path / "out").iterdir()
     }
     assert written == digests
+
+
+def test_every_family_option_is_read_and_settable():
+    params = {p for fam in FAMILIES.values() for p in fam.params}
+    # each construct flag is read by some family, and each parameter has a flag
+    assert set(cli._CONSTRUCT_FLAGS) == params
+    # every sweep key but these sets a family parameter that some family reads
+    sweep_settings = {"family", "b_source", "max_steps", "output", "jobs"}
+    assert experiment._KNOWN_KEYS - sweep_settings <= params
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (listed,) = re.findall(r"^family \S+ +# (.+)$", readme, re.MULTILINE)
+    assert listed.split(" | ") == list(FAMILIES)
 
 
 def test_construct_missing_flag_is_usage_error(tmp_path, capsys):
@@ -156,13 +170,13 @@ def test_construct_missing_flag_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--family", "h6", "--n", "10", "--b", "3", "--B", "junk", "--r", "9"],
-         "--b is only read by family hb"),
-        (["--family", "chain", "--m", "3", "--n", "3"],
-         "--n is only read by families h6, hb, hB, hprime and minimal"),
-        (["--family", "hprime", "--n", "100", "--B", "10", "--m", "2"],
-         "--m is only read by family chain"),
-        (["--family", "hb", "--n", "20", "--b", "3", "--B", "10"],
+        (["--family", "h6", "--n", "10", "--B", "junk", "--r", "9"],
+         "--B is only read by families hB and hprime"),
+        (["--family", "cone-of", "--input", "g.txt", "--n", "3"],
+         "--n is only read by families h6, chain, hB, hprime and minimal"),
+        (["--family", "hprime", "--n", "100", "--B", "10", "--input", "g.txt"],
+         "--input is only read by family cone-of"),
+        (["--family", "chain", "--n", "3", "--B", "10"],
          "--B is only read by families hB and hprime"),
         (["--family", "cone-of", "--input", "g.txt", "--r", "5"],
          "--r is only read by family minimal"),
@@ -173,6 +187,17 @@ def test_construct_missing_flag_is_usage_error(tmp_path, capsys):
 def test_construct_rejects_flags_the_family_never_reads(tmp_path, capsys, flags, message):
     assert run_cli("construct", *flags, "--out-prefix", str(tmp_path / "x")) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--b", "--m"])
+def test_construct_retired_flags_are_usage_errors(tmp_path, capsys, flag):
+    # hb --b X is hB --B X, and chain --m X is chain --n X
+    with pytest.raises(SystemExit) as exc:
+        run_cli("construct", "--family", "hB", "--n", "20", flag, "3",
+                "--out-prefix", str(tmp_path / "x"))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -326,7 +326,6 @@ def test_minimal_percolating_bounds():
 SMALLEST = {
     "h6": {},
     "chain": {},
-    "hb": {"b": 1},
     "hB": {"B": ApSet(1, (1,))},
     "hprime": {"B": ApSet(10, (10,))},
     "minimal": {"r": 3},
@@ -339,6 +338,6 @@ def test_min_size_is_the_builders_floor(family):
     if family not in SMALLEST:  # built from an input file, at its order
         assert size is None and "input" in FAMILIES[family].params
         return
-    build(family, n=size, m=size, **SMALLEST[family])
+    build(family, n=size, **SMALLEST[family])
     with pytest.raises(ValueError):
-        build(family, n=size - 1, m=size - 1, **SMALLEST[family])
+        build(family, n=size - 1, **SMALLEST[family])

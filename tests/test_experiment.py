@@ -47,13 +47,13 @@ def test_parse_config_basic(tmp_path):
 
 
 def test_parse_config_explicit_slopes(tmp_path):
-    p = write_cfg(
-        tmp_path,
-        "family hB\nn 100\nb_source explicit\nB 10\nB 20\noutput o.csv\n",
-    )
+    p = write_cfg(tmp_path, "family hB\nn 100\nB 20\nB 10\noutput o.csv\n")
     cfg = parse_config(p)
-    assert cfg.b_explicit == [10, 20]
+    assert cfg.B == [20, 10]
     assert _slopes_for(cfg, 100).elements == (10, 20)
+    # B lines alone give the slopes, so n needs no digits3 floor
+    p = write_cfg(tmp_path, "family hprime\nn 40\nB 10\noutput o.csv\n")
+    assert _slopes_for(parse_config(p), 40).elements == (10,)
 
 
 @pytest.mark.parametrize(
@@ -67,10 +67,10 @@ def test_parse_config_explicit_slopes(tmp_path):
         ("family chain\nn 1\nr 5\nr 6\noutput o.csv\n", "more than once"),
         ("family chain\nn 1\nincremental maybe\noutput o.csv\n", "unknown key"),
         ("family chain\nn 1\nseed 0\noutput o.csv\n", r"sweep.cfg:3: unknown key 'seed'"),
-        ("family hb\nn 50\noutput o.csv\n", "needs 'b'"),
         ("family cone-of\nr 5\noutput o.csv\n", "needs 'input'"),
         ("family minimal\nn 6\noutput o.csv\n", "explicit 'r'"),
-        ("family hB\nn 100\nb_source explicit\noutput o.csv\n", "needs 'B'"),
+        ("family hB\nn 100\nb_source explicit\noutput o.csv\n",
+         r"sweep\.cfg:3: unknown b_source 'explicit'"),
         ("family chain\nn 1\njobs 0\noutput o.csv\n", ">= 1"),
         ("family chain\nn 1 extra\noutput o.csv\n", "needs an integer"),
         ("family chain\nn 1\njunk\noutput o.csv\n", "expected 'key value'"),
@@ -81,20 +81,22 @@ def test_parse_config_explicit_slopes(tmp_path):
         ("family chain\nn 1\noutput o.csv\nb_source magic\n", r"sweep\.cfg:4: unknown b_source"),
         ("family hprime\nn 400\nb_source behrend\noutput o.csv\n",
          r"sweep\.cfg:3: unknown b_source 'behrend'"),
-        ("family hB\nn 100\nb_source explicit\nB 10\nB 10\noutput o.csv\n",
-         r"sweep\.cfg:5: slope 10 given more than once"),
-        ("family hB\nn 100\nb_source explicit\nB 0\noutput o.csv\n",
-         r"sweep\.cfg:4: slope 0 must be positive"),
-        ("family hB\nn 100\nb_source explicit\nB 10\nB -20\noutput o.csv\n",
-         r"sweep\.cfg:5: slope -20 must be positive"),
-        ("family hb\nn 50\noutput o.csv\n", r"sweep\.cfg:1: family hb needs 'b'"),
+        ("family hB\nn 100\nB 10\nB 10\noutput o.csv\n",
+         r"sweep\.cfg:4: slope 10 given more than once"),
+        ("family hB\nn 100\nB 0\noutput o.csv\n", r"sweep\.cfg:3: slope 0 must be positive"),
+        ("family hB\nn 100\nB 10\nB -20\noutput o.csv\n",
+         r"sweep\.cfg:4: slope -20 must be positive"),
+        ("family hb\nn 50\noutput o.csv\n", r"sweep\.cfg:1: unknown family 'hb'"),
         ("family chain\nn 1\noutput o.csv\njobs 0\n", r"sweep\.cfg:4: jobs must be >= 1"),
         ("family chain\nn 1\nb_source digits3\nB 10\nb 4\noutput o.csv\n",
-         r"sweep\.cfg:3: key 'b_source' is only read by families hB and hprime"),
-        ("family hprime\nn 400\nb 4\noutput o.csv\n",
-         r"sweep\.cfg:3: key 'b' is only read by family hb"),
-        ("family hprime\nn 400\nB 10\noutput o.csv\n",
-         r"sweep\.cfg:3: key 'B' is only read by b_source explicit"),
+         r"sweep\.cfg:5: unknown key 'b'"),
+        ("family chain\nn 1\nb_source digits3\nB 10\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'b_source' is only read by families hB and hprime without 'B'"),
+        ("family hprime\nn 400\nb 4\noutput o.csv\n", r"sweep\.cfg:3: unknown key 'b'"),
+        ("family chain\nn 1\nB 10\noutput o.csv\n",
+         r"sweep\.cfg:3: key 'B' is only read by families hB and hprime"),
+        ("family hB\nn 100\nB 10\nb_source exhaustive\noutput o.csv\n",
+         r"sweep\.cfg:4: key 'b_source' is only read by families hB and hprime without 'B'"),
         ("family chain\nn 1\ninput x.txt\noutput o.csv\n",
          r"sweep\.cfg:3: key 'input' is only read by family cone-of"),
         ("family cone-of\ninput base.txt\nn 5\nr 7\noutput o.csv\n",
@@ -106,12 +108,19 @@ def test_parse_config_explicit_slopes(tmp_path):
         ("family h6\nn 20\nr 7\noutput o.csv\n", r"sweep\.cfg:3: family h6 has order 6, got r 7"),
         ("family chain\nn 1\nmax_steps -1\noutput o.csv\n",
          r"sweep\.cfg:3: max_steps must be non-negative"),
-        ("family hb\nn 50\nb 0\noutput o.csv\n", r"sweep\.cfg:3: b must be at least 1"),
+        ("family hb\nn 50\nb 0\noutput o.csv\n", r"sweep\.cfg:3: unknown key 'b'"),
         ("family chain\nn 0\noutput o.csv\n", r"sweep\.cfg:2: family chain needs n >= 1, got n 0"),
         ("family h6\nn 20\nn -3\noutput o.csv\n",
          r"sweep\.cfg:3: family h6 needs n >= 10, got n -3"),
         ("family hprime\nn 10\noutput o.csv\n",
          r"sweep\.cfg:2: family hprime needs n >= 40, got n 10"),
+        # each point must have slopes and be buildable at the resolved r
+        ("family hB\nn 40\nn 20\noutput o.csv\n",
+         r"sweep\.cfg:3: n=20 too small to generate slopes \(need n >= 40\)$"),
+        ("family hprime\nn 1200\nb_source exhaustive\noutput o.csv\n",
+         r"sweep\.cfg:2: n=1200 needs exhaustive slopes on \[1, 30\]: .* limited to n <= 25$"),
+        ("family minimal\nn 6\nn 4\nr 6\noutput o.csv\n",
+         r"sweep\.cfg:3: family minimal needs n >= 6, got n 4$"),
     ],
 )
 def test_parse_config_rejects(tmp_path, text, msg):
@@ -149,7 +158,8 @@ def test_compute_row_h6():
 
 
 def test_compute_row_hb_checks_structure_only():
-    cfg = ExperimentConfig(family="hb", ns=[100], r=5, output="o.csv", b=10)
+    # one slope: the paper's H_b
+    cfg = ExperimentConfig(family="hB", ns=[100], r=5, output="o.csv", B=[10])
     row = compute_row(cfg, 100)
     assert row["m"] == "80" and row["cond_i"] == "true"
     assert row["steps"] == "" and row["percolated"] == ""
@@ -157,8 +167,7 @@ def test_compute_row_hb_checks_structure_only():
 
 def test_compute_row_hprime_with_explicit_slopes():
     cfg = ExperimentConfig(
-        family="hprime", ns=[100], r=5, output="o.csv",
-        b_source="explicit", b_explicit=[10, 20],
+        family="hprime", ns=[100], r=5, output="o.csv", B=[10, 20]
     )
     row = compute_row(cfg, 100, ApSet(20, (10, 20)))
     assert row["B_size"] == "2" and row["m"] == "141"
@@ -185,9 +194,8 @@ def test_compute_row_minimal_and_cone(tmp_path):
 TABLE_POINTS = {
     "h6": (20, 6, {}),
     "chain": (3, 5, {}),
-    "hb": (100, 5, {"b": 10}),
-    "hB": (100, 5, {"b_source": "explicit", "b_explicit": [10, 20]}),
-    "hprime": (100, 5, {"b_source": "explicit", "b_explicit": [10, 20]}),
+    "hB": (100, 5, {"B": [10, 20]}),
+    "hprime": (100, 5, {"B": [10, 20]}),
     "minimal": (7, 4, {}),
     "cone-of": (6, 5, {"input": "base.txt"}),
 }
@@ -201,7 +209,7 @@ def test_compute_row_cells_are_the_built_parts(tmp_path, monkeypatch, family):
     cfg = ExperimentConfig(family=family, ns=[n], r=r, output="o.csv", **extra)
     row = compute_row(cfg, n)
 
-    c = build(family, n=n, m=n, b=cfg.b, B=_slopes_for(cfg, n), r=r, input=cfg.input)
+    c = build(family, n=n, B=_slopes_for(cfg, n), r=r, input=cfg.input)
     parts = ("hypergraph", "f_pairs", "skeleton", "start")
     assert tuple(p for p in parts if getattr(c, p) is not None) == FAMILIES[family].parts
     want = dict.fromkeys(("m", "cond_i", "cond_ii", "start_edges", "steps", "percolated"), "")
@@ -270,7 +278,7 @@ def test_run_experiment_parallel_logs_errors_and_continues(tmp_path):
 def test_run_experiment_logs_the_points_a_broken_pool_loses(tmp_path, monkeypatch):
     # a worker that dies breaks the pool: the point it ran and every point
     # still pending are logged, finished rows are kept, and the sweep returns
-    run_engine, doomed = experiment.engine.run, build("chain", m=2).start.n
+    run_engine, doomed = experiment.engine.run, build("chain", n=2).start.n
 
     def dies_on_point_2(start, *args, **kwargs):
         if start.n == doomed:
@@ -313,10 +321,9 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
 
 def test_run_experiment_reruns_a_different_slope_set(tmp_path):
     out = tmp_path / "rows.csv"
-    cfg = ExperimentConfig(family="hB", ns=[100], r=5, output=str(out),
-                           b_source="explicit", b_explicit=[10, 20])
+    cfg = ExperimentConfig(family="hB", ns=[100], r=5, output=str(out), B=[10, 20])
     assert [r["B"] for r in run_experiment(cfg)] == ["10;20"]
-    cfg.b_explicit = [10, 30]
+    cfg.B = [10, 30]
     new = run_experiment(cfg)
     assert [(r["B"], r["B_size"]) for r in new] == [("10;30", "2")]
     assert run_experiment(cfg) == []
@@ -357,7 +364,7 @@ def test_point_cells_leave_unused_settings_blank():
     cfg = ExperimentConfig(family="hB", ns=[100], r=5, output="o.csv", max_steps=7)
     row = compute_row(cfg, 100, ApSet(20, (10, 20)))
     assert row["B"] == "10;20" and row["max_steps"] == ""  # hB never simulates
-    cfg = ExperimentConfig(family="hb", ns=[100], r=5, output="o.csv", b=10)
+    cfg = ExperimentConfig(family="hB", ns=[100], r=5, output="o.csv", B=[10])
     assert compute_row(cfg, 100)["B"] == "10"
     cfg = ExperimentConfig(family="chain", ns=[3], r=5, output="o.csv")
     row = compute_row(cfg, 3)

@@ -124,6 +124,21 @@ def test_range_and_label_errors_name_the_line(tmp_path, reader, text, line):
         reader(p)
 
 
+@pytest.mark.parametrize(
+    "reader, text, counts",
+    [
+        (fileio.read_graph, "3 -1\n", "m >= 0, got 3 -1"),
+        (fileio.read_apset, "9 -1\n", "k >= 0, got 9 -1"),
+        (fileio.read_hypergraph, "5 2 -1\n", "m >= 0, got 5 2 -1"),
+    ],
+)
+def test_negative_header_counts_fail_on_line_1(tmp_path, reader, text, counts):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.txt:1: need n >= 0.* and {counts}$"):
+        reader(p)
+
+
 def test_fpairs_round_trip(tmp_path):
     c = build_chain(4)
     p = tmp_path / "f.txt"
