@@ -126,6 +126,8 @@ def cmd_maxtime(args) -> int:
     else:
         res = max_running_time(args.n, args.r)
         print(f"M_{args.r}({args.n}) = {res.max_time}")
+    kind = "starts" if res.exhaustive else "sampled starts"
+    print(f"{res.slowest_starts} of {res.graphs_examined} {kind} take {res.max_time} steps")
     if args.witness_out:
         fileio.write_graph(res.witness_start, args.witness_out)
     w = res.witness_start

@@ -160,11 +160,16 @@ def build_hb(n: int, b: int) -> UniformHypergraph:
     return build_hB(n, ApSet(b, (b,)))
 
 
-def build_hB(n: int, B: ApSet) -> UniformHypergraph:
-    """Union of slope-b chains for every b in B, grouped by ascending slope."""
+def check_hB_slopes(n: int, B: ApSet) -> None:
+    """Refuse a slope b outside [1, (n - 1) // 2]: its chain would be empty."""
     for b in B.elements:
         if not 1 <= b <= (n - 1) // 2:
             raise ValueError(f"slope {b} outside [1, {(n - 1) // 2}]")
+
+
+def build_hB(n: int, B: ApSet) -> UniformHypergraph:
+    """Union of slope-b chains for every b in B, grouped by ascending slope."""
+    check_hB_slopes(n, B)
     edges: list[tuple[int, ...]] = []
     for b in B.elements:
         edges.extend(_hb_edges(n, b, 0, n - 2 * b))
@@ -173,14 +178,9 @@ def build_hB(n: int, B: ApSet) -> UniformHypergraph:
     return UniformHypergraph(3 * n + 3, 5, edges, _xyz_labels(n))
 
 
-def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
-    """Pruned slope chains joined end to end by 3-edge connector chains.
-
-    Requires B = 10 * B' with B' 3-AP-free and B inside [1, n/4].  Each chain
-    after the first is trimmed so that its two handoff pairs {x_s, z_{s+2b}}
-    and {x_l, z_{l+2b}} avoid every handoff pair used so far; a connector of
-    three 5-edges on 7 fresh vertices then links consecutive chains.
-    """
+def check_hprime_slopes(n: int, B: ApSet) -> None:
+    """Refuse B unless it is non-empty, B = 10 * B' with B' 3-AP-free, and B
+    lies inside [1, n/4]."""
     if len(B.elements) < 1:
         raise ValueError("need at least one slope")
     for b in B.elements:
@@ -195,6 +195,16 @@ def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
     if not rep.passed:
         raise ValueError(f"B/10 contains an arithmetic progression: {rep.witness}")
 
+
+def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
+    """Pruned slope chains joined end to end by 3-edge connector chains.
+
+    Requires B = 10 * B' with B' 3-AP-free and B inside [1, n/4].  Each chain
+    after the first is trimmed so that its two handoff pairs {x_s, z_{s+2b}}
+    and {x_l, z_{l+2b}} avoid every handoff pair used so far; a connector of
+    three 5-edges on 7 fresh vertices then links consecutive chains.
+    """
+    check_hprime_slopes(n, B)
     x0, _, z0 = _xyz_ids(n)
 
     def handoff(idx: int, b: int) -> tuple[int, int]:
@@ -300,13 +310,16 @@ class Family(NamedTuple):
     process order the family is built for (None: the caller picks);
     ``min_size`` is the least size ``n`` that ``builder`` accepts with any
     other parameters (None: the family has no size); ``parts`` names the
-    ``ConstructionOutput`` fields it fills."""
+    ``ConstructionOutput`` fields it fills; ``check_slopes(n, B)`` raises
+    ValueError on a slope set that ``builder`` refuses at size ``n`` (None:
+    the family reads no ``B``)."""
 
     builder: Callable
     params: tuple[str, ...]
     default_r: int | None
     min_size: int | None
     parts: tuple[str, ...] = ("hypergraph", "f_pairs", "skeleton", "start")
+    check_slopes: Callable | None = None
 
 
 def _cone_of(input: str) -> Graph:
@@ -319,10 +332,9 @@ def _cone_of(input: str) -> Graph:
 FAMILIES: dict[str, Family] = {
     "h6": Family(build_h6, ("n",), 6, 10),
     "chain": Family(build_chain, ("n",), 5, 1),
-    # a slope b needs 1 <= b <= (n - 1) // 2; one slope b is the paper's H_b
-    "hB": Family(build_hB, ("n", "B"), 5, 3, ("hypergraph",)),
-    # slopes are positive multiples of 10, at most n // 4
-    "hprime": Family(build_hprime, ("n", "B"), 5, 40),
+    # one slope b is the paper's H_b
+    "hB": Family(build_hB, ("n", "B"), 5, 3, ("hypergraph",), check_hB_slopes),
+    "hprime": Family(build_hprime, ("n", "B"), 5, 40, check_slopes=check_hprime_slopes),
     # 3 <= r <= n
     "minimal": Family(minimal_percolating, ("n", "r"), None, 3, ("start",)),
     "cone-of": Family(_cone_of, ("input",), None, None, ("start",)),

@@ -183,10 +183,13 @@ def parse_config(path) -> ExperimentConfig:
 
 def _slopes_for(cfg: ExperimentConfig, n: int) -> ApSet | None:
     """The slope set for point ``n``; None for a family that reads none."""
-    if "B" not in constructions.FAMILIES[cfg.family].params:
+    fam = constructions.FAMILIES[cfg.family]
+    if "B" not in fam.params:
         return None
     if cfg.B:
-        return ApSet(max(cfg.B), tuple(sorted(cfg.B)))
+        slopes = ApSet(max(cfg.B), tuple(sorted(cfg.B)))
+        fam.check_slopes(n, slopes)  # generated sets below pass by construction
+        return slopes
     bound = n // 40
     if bound < 1:
         raise ValueError(f"n={n} too small to generate slopes (need n >= 40)")

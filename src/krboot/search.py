@@ -13,13 +13,22 @@ and the starts that take T steps are the bits of the last one.
 The exhaustive search walks the 2^C(n,2) starts in binary-counter order, in
 blocks of 2^20 starts: in a block the low 20 edges carry the counter's
 periodic bit patterns, built by doubling, and the higher edges are constant.
-The sampled search draws ``getrandbits(C(n,2))`` per sample, as a plain loop
-would, and transposes the draws into edge columns in blocks of 4096 samples.
+The sampled search walks blocks of up to 4096 samples and draws each block
+with one ``getrandbits(32 * words * size)``, ``words`` being the 32-bit words
+in C(n,2) bits.  It gets the same samples as a plain loop of
+``getrandbits(C(n,2))`` calls: both take ``words`` words of the generator per
+sample and place them least significant first, and the plain call shifts its
+last word right by 32 - C(n,2) % 32 (when that is not 32), keeping its high
+bits.  So sample i is chunk i of the block draw's little-endian bytes, with
+the edges of its last word read that many bits higher, and the draws are
+transposed into edge columns from those bytes.
+
 Within a block the lowest bit of the last changed set is its first slowest
 start, and a block replaces the leader only if it is strictly slower, so ties
 go to the first slowest start in binary-counter order or to the first slowest
-start drawn.  Each reported maximum is re-run through ``engine.run`` as a
-confirmation before being returned.
+start drawn.  The slowest starts are counted over the blocks as they run.
+Each reported maximum is re-run through ``engine.run`` as a confirmation
+before being returned.
 """
 from __future__ import annotations
 
@@ -34,13 +43,15 @@ _MAX_EXHAUSTIVE_N = 8  # 2^28 starts: 256 blocks
 _BLOCK_BITS = 20  # 2^20 exhaustive starts per block
 _SAMPLE_BLOCK = 4096  # samples transposed and walked at once
 
-Rule = list[tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], list[int]]]]]
+Rule = list[tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]]
 
 
 @dataclass
 class MaxTimeResult:
     """``kernel_scans`` is the sum of running time + 1 over the starts
-    examined: one step per edge batch, plus the step that finds none."""
+    examined: one step per edge batch, plus the step that finds none.
+    ``slowest_starts`` counts the starts examined that take ``max_time``
+    steps; a start drawn twice counts twice."""
 
     n: int
     r: int
@@ -49,6 +60,7 @@ class MaxTimeResult:
     graphs_examined: int
     exhaustive: bool
     kernel_scans: int
+    slowest_starts: int
 
 
 def _edge_list(n: int) -> list[tuple[int, int]]:
@@ -58,8 +70,11 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
 def _rule(n: int, r: int) -> Rule:
     """For each pair (u, v) of K_n, in edge-list order: its legs (uw, vw), one
     for each other vertex w, and its closers, one for each (r-2)-set Q of
-    those w, as Q's leg positions and the edges inside Q.  Edges are
-    edge-list indices."""
+    those w.  A closer is flat, ``(first, rest)``, over the pair's operand
+    list: the legs' ANDs, one per w, followed by the state, one per edge.
+    ``first`` is Q's first leg and ``rest`` indexes Q's other legs and then
+    the edges inside Q, shifted past the legs.  Edges are edge-list
+    indices."""
     edges = _edge_list(n)
     index = {}
     for i, (u, v) in enumerate(edges):
@@ -68,8 +83,11 @@ def _rule(n: int, r: int) -> Rule:
     for u, v in edges:
         others = [w for w in range(n) if w != u and w != v]
         legs = [(index[u, w], index[v, w]) for w in others]
-        closers = [(q, [index[others[a], others[b]] for a, b in combinations(q, 2)])
-                   for q in combinations(range(len(others)), r - 2)]
+        off = len(legs)
+        closers = [
+            (q[0], [*q[1:], *(off + index[others[a], others[b]] for a, b in combinations(q, 2))])
+            for q in combinations(range(off), r - 2)
+        ]
         rule.append((legs, closers))
     return rule
 
@@ -91,14 +109,13 @@ def _walk(state: list[int], starts: int, rule: Rule) -> tuple[int, int, int]:
             need = active & ~state[e]
             if not need:
                 continue
-            common = [need & state[uw] & state[vw] for uw, vw in legs]
+            ops = [need & state[uw] & state[vw] for uw, vw in legs]
+            ops += state
             add = 0
-            for q, inner in closers:
-                a = common[q[0]]
-                for w in q[1:]:
-                    a &= common[w]
-                for f in inner:
-                    a &= state[f]
+            for first, rest in closers:
+                a = ops[first]
+                for i in rest:
+                    a &= ops[i]
                 add |= a
             if add:
                 new[e] |= add
@@ -112,7 +129,14 @@ def _walk(state: list[int], starts: int, rule: Rule) -> tuple[int, int, int]:
 
 
 def _confirm(
-    n: int, r: int, best_time: int, best_mask: int, examined: int, scans: int, exhaustive: bool
+    n: int,
+    r: int,
+    best_time: int,
+    best_mask: int,
+    examined: int,
+    scans: int,
+    slowest: int,
+    exhaustive: bool,
 ) -> MaxTimeResult:
     """Replay the witness through ``engine.run``, which shares no code with
     the bit-sliced walk."""
@@ -120,7 +144,7 @@ def _confirm(
     trace = engine.run(witness, r, Graph.complete(n))
     if trace.truncated or trace.running_time != best_time:
         raise AssertionError(f"engine replay got {trace.running_time}, search said {best_time}")
-    return MaxTimeResult(n, r, best_time, witness, examined, exhaustive, scans)
+    return MaxTimeResult(n, r, best_time, witness, examined, exhaustive, scans, slowest)
 
 
 def max_running_time(n: int, r: int) -> MaxTimeResult:
@@ -141,14 +165,16 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
             period <<= 1
         counter.append(col)
     full = (1 << size) - 1
-    best_time, best_mask, scans = -1, 0, 0
+    best_time, best_mask, slowest, scans = -1, 0, 0, 0
     for block in range(1 << (pairs - low)):
         high = [full if block >> i & 1 else 0 for i in range(pairs - low)]
         t, last, s = _walk(counter + high, size, rule)
         scans += s
         if t > best_time:
-            best_time, best_mask = t, block << low | (last & -last).bit_length() - 1
-    return _confirm(n, r, best_time, best_mask, 1 << pairs, scans, exhaustive=True)
+            best_time, best_mask, slowest = t, block << low | (last & -last).bit_length() - 1, 0
+        if t == best_time:
+            slowest += last.bit_count()
+    return _confirm(n, r, best_time, best_mask, 1 << pairs, scans, slowest, exhaustive=True)
 
 
 def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTimeResult:
@@ -162,20 +188,30 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     rng = random.Random(seed)
     rule = _rule(n, r)
     pairs = len(rule)
-    width = (pairs + 7) // 8  # bytes per sample
+    words = (pairs + 31) // 32  # 32-bit words per sample
+    width = 4 * words  # bytes per sample
+    # getrandbits(pairs) keeps the high pairs % 32 bits of its last word, so
+    # the edges in that word sit ``drop`` bits higher in a sample's chunk
+    drop = 32 * words - pairs
+    pos = [e if e < pairs + drop - 32 else e + drop for e in range(pairs)]
     # byte -> b"0" or b"1", bit j of the byte
     digits = [bytes.maketrans(bytes(range(256)), bytes(48 + (b >> j & 1) for b in range(256)))
               for j in range(8)]
-    best_time, best_mask, scans = -1, 0, 0
+    best_time, best_mask, slowest, scans = -1, 0, 0, 0
     for lo in range(0, samples, _SAMPLE_BLOCK):
-        masks = [rng.getrandbits(pairs) for _ in range(min(_SAMPLE_BLOCK, samples - lo))]
-        # big-endian samples, last first: column e reads its bits from the
-        # last sample down to the first, as int(..., 2) wants them
-        data = b"".join(m.to_bytes(width, "big") for m in reversed(masks))
-        cols = [int(data[width - 1 - (e >> 3) :: width].translate(digits[e & 7]), 2)
-                for e in range(pairs)]
-        t, last, s = _walk(cols, len(masks), rule)
+        size = min(_SAMPLE_BLOCK, samples - lo)
+        data = rng.getrandbits(32 * words * size).to_bytes(width * size, "little")
+        # column e reads its bits from the last sample's chunk down to the
+        # first, as int(..., 2) wants them
+        end = width * (size - 1)
+        cols = [int(data[end + (p >> 3) :: -width].translate(digits[p & 7]), 2) for p in pos]
+        t, last, s = _walk(cols, size, rule)
         scans += s
         if t > best_time:
-            best_time, best_mask = t, masks[(last & -last).bit_length() - 1]
-    return _confirm(n, r, best_time, best_mask, samples, scans, exhaustive=False)
+            i = (last & -last).bit_length() - 1
+            chunk = int.from_bytes(data[width * i : width * (i + 1)], "little")
+            best_mask = sum(1 << e for e, p in enumerate(pos) if chunk >> p & 1)
+            best_time, slowest = t, 0
+        if t == best_time:
+            slowest += last.bit_count()
+    return _confirm(n, r, best_time, best_mask, samples, scans, slowest, exhaustive=False)

@@ -339,16 +339,17 @@ def test_maxtime_exact_cli(tmp_path, capsys):
     assert run_cli("maxtime", "--n", "4", "--r", "3", "--witness-out", str(wpath)) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "M_3(4) = 2"
+    assert out[1] == "12 of 64 starts take 2 steps"
     # remaining lines are the witness in graph format and match the file
     w = fileio.read_graph(wpath)
-    assert out[1] == f"{w.n} {w.edge_count()}"
-    assert len(out) == 2 + w.edge_count()
+    assert out[2] == f"{w.n} {w.edge_count()}"
+    assert len(out) == 3 + w.edge_count()
 
 
 def test_maxtime_sampled_cli(capsys):
     assert run_cli("maxtime", "--n", "5", "--r", "4", "--samples", "1024", "--seed", "0") == 0
     out = capsys.readouterr().out
-    assert "M_4(5) >= 2 (sampled, 1024 starts)" in out
+    assert "M_4(5) >= 2 (sampled, 1024 starts)\n91 of 1024 sampled starts take 2 steps\n" in out
     assert run_cli("maxtime", "--n", "5", "--r", "4", "--samples", "10") == 2
     assert "--samples requires --seed" in capsys.readouterr().err
 
@@ -411,3 +412,16 @@ def test_experiment_cli_bad_config(tmp_path, capsys):
     cfg.write_text("family chain\nn 1\nwat 3\noutput x.csv\n")
     assert run_cli("experiment", "--config", str(cfg)) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_experiment_cli_refuses_slopes_the_builder_refuses(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    cfg = tmp_path / "sweep.cfg"
+    for text, msg in (
+        ("family hB\nn 20\nB 10\n", "slope 10 outside [1, 9]"),
+        ("family hprime\nn 100\nB 15\n", "slope 15 is not a multiple of 10"),
+    ):
+        cfg.write_text(f"{text}output {csv_path}\n")
+        assert run_cli("experiment", "--config", str(cfg)) == 2
+        assert f"error: {cfg}:2: {msg}\n" == capsys.readouterr().err
+    assert not csv_path.exists()

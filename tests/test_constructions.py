@@ -256,6 +256,11 @@ def test_hprime_input_validation():
         build_hprime(100, ApSet(10, ()))
 
 
+def test_families_that_read_slopes_check_them():
+    for fam in FAMILIES.values():
+        assert (fam.check_slopes is not None) == ("B" in fam.params)
+
+
 # ---------------------------------------------------------------- assembly
 
 

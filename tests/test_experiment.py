@@ -121,6 +121,14 @@ def test_parse_config_explicit_slopes(tmp_path):
          r"sweep\.cfg:2: n=1200 needs exhaustive slopes on \[1, 30\]: .* limited to n <= 25$"),
         ("family minimal\nn 6\nn 4\nr 6\noutput o.csv\n",
          r"sweep\.cfg:3: family minimal needs n >= 6, got n 4$"),
+        # explicit slopes go through the builder's own slope check
+        ("family hB\nn 20\nB 10\noutput o.csv\n", r"sweep\.cfg:2: slope 10 outside \[1, 9\]$"),
+        ("family hprime\nn 100\nB 15\noutput o.csv\n",
+         r"sweep\.cfg:2: slope 15 is not a multiple of 10$"),
+        ("family hprime\nn 400\nn 160\nB 10\nB 20\nB 30\noutput o.csv\n",
+         r"sweep\.cfg:2: B/10 contains an arithmetic progression: \(1, 2, 3\)$"),
+        ("family hprime\nn 400\nn 160\nB 50\noutput o.csv\n",
+         r"sweep\.cfg:3: slope 50 outside \[1, 40\]$"),
     ],
 )
 def test_parse_config_rejects(tmp_path, text, msg):

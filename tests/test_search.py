@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krboot import search
 from krboot.engine import run
 from krboot.graphs import Graph, cone
 from krboot.search import (
@@ -29,6 +30,7 @@ WITNESS_N7 = {
     4: [120, 92, 58, 7, 7, 5, 3],
     5: [126, 117, 91, 53, 15, 11, 7],
 }
+SLOWEST_STARTS = {(6, 4): 1800, (6, 5): 360, (7, 4): 59220, (7, 5): 26460, (7, 6): 1050}
 WITNESS_SAMPLED_K8_R4 = [  # max_running_time_sampled(8, 4, 2000, seed), seeds 0..15
     [232, 24, 208, 147, 46, 145, 5, 45],
     [58, 9, 104, 199, 193, 69, 60, 24],
@@ -118,6 +120,35 @@ def test_search_kernel_matches_engine_on_every_start():
             slowest = max(times)
             last = sum(1 << s for s, t in enumerate(times) if t == slowest)
             assert sliced(n, r, masks) == (slowest, last, sum(times) + len(times))
+            assert max_running_time(n, r).slowest_starts == times.count(slowest)
+
+
+def test_search_kernel_matches_engine_on_random_starts_at_r6():
+    # r = 6 closers join four legs and six inner edges
+    rng = random.Random(6)
+    for n in (6, 7):
+        masks = [rng.getrandbits(len(_edge_list(n))) for _ in range(300)]
+        times = engine_times(n, 6, masks)
+        slowest = max(times)
+        last = sum(1 << s for s, t in enumerate(times) if t == slowest)
+        assert sliced(n, 6, masks) == (slowest, last, sum(times) + len(times))
+
+
+def test_exhaustive_counts_the_slowest_starts():
+    # n <= 5 is checked against engine.run over every start above
+    for (n, r), want in SLOWEST_STARTS.items():
+        assert max_running_time(n, r).slowest_starts == want
+
+
+def test_exhaustive_results_do_not_depend_on_the_block_size(monkeypatch):
+    def result(n, r):
+        res = max_running_time(n, r)
+        return res.max_time, res.witness_start, res.kernel_scans, res.slowest_starts
+
+    cases = [(6, 4), (6, 5), (7, 4), (7, 6)]
+    want = [result(n, r) for n, r in cases]
+    monkeypatch.setattr(search, "_BLOCK_BITS", 12)  # 8 blocks at n=6, 512 at n=7
+    assert [result(n, r) for n, r in cases] == want
 
 
 def test_exhaustive_kernel_scans_count_every_step_and_the_last_scan():
@@ -141,19 +172,25 @@ def test_exhaustive_n8_matches_the_theorems():
     assert max_running_time(8, 4).max_time == 5
 
 
-def plain_sampled_loop(n: int, r: int, samples: int, seed: int) -> tuple[int, Graph, int]:
-    """The first slowest of ``samples`` draws, one ``engine.run`` each, and
-    the sum of running time + 1 over the draws."""
+def plain_sampled_loop(n: int, r: int, samples: int, seed: int) -> tuple[int, Graph, int, int]:
+    """The first slowest of ``samples`` draws, one ``engine.run`` each, the
+    sum of running time + 1 over the draws, and how many draws are slowest."""
     rng = random.Random(seed)
     pairs = len(_edge_list(n))
-    best_time, best, scans = -1, None, 0
+    best_time, best, scans, slowest = -1, None, 0, 0
     for _ in range(samples):
         start = start_of(n, rng.getrandbits(pairs))
         t = run(start, r, Graph.complete(n)).running_time
         scans += t + 1
         if t > best_time:
-            best_time, best = t, start
-    return best_time, best, scans
+            best_time, best, slowest = t, start, 0
+        slowest += t == best_time
+    return best_time, best, scans, slowest
+
+
+def sampled(n: int, r: int, samples: int, seed: int) -> tuple[int, Graph, int, int]:
+    res = max_running_time_sampled(n, r, samples, seed)
+    return res.max_time, res.witness_start, res.kernel_scans, res.slowest_starts
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,22 +201,26 @@ def plain_sampled_loop(n: int, r: int, samples: int, seed: int) -> tuple[int, Gr
     st.integers(-(2**64), 2**64),
 )
 def test_sampled_search_equals_a_plain_loop(n, r, samples, seed):
-    res = max_running_time_sampled(n, r, samples, seed)
-    assert (res.max_time, res.witness_start, res.kernel_scans) == plain_sampled_loop(
-        n, r, samples, seed
-    )
+    assert sampled(n, r, samples, seed) == plain_sampled_loop(n, r, samples, seed)
 
 
 def test_sampled_search_matches_a_plain_loop_across_bytes():
-    # the draws are transposed into edge columns byte by byte: n=8 fills four
-    # bytes exactly, n=12 and n=22 end inside a byte, and _SAMPLE_BLOCK + 76
-    # samples make two blocks
+    # a block's samples come from one getrandbits call in 32-bit words, and
+    # getrandbits(C(n,2)) keeps the high C(n,2) % 32 bits of a sample's last
+    # word: n=8 keeps 28 bits of one word, n=9 36 bits of two (28 dropped),
+    # n=12 and n=22 end inside their last word, n=64 fills 63 words with
+    # nothing dropped, and _SAMPLE_BLOCK + 76 samples make two blocks
     two_blocks = _SAMPLE_BLOCK + 76
-    for n, r, samples in ((8, 4, two_blocks), (12, 3, 60), (12, 5, 40), (22, 3, 30)):
-        res = max_running_time_sampled(n, r, samples, seed=n + r)
-        assert (res.max_time, res.witness_start, res.kernel_scans) == plain_sampled_loop(
-            n, r, samples, n + r
-        )
+    for n, r, samples in (
+        (8, 4, two_blocks),
+        (9, 4, 200),
+        (9, 5, 100),
+        (12, 3, 60),
+        (12, 5, 40),
+        (22, 3, 30),
+        (64, 3, 4),
+    ):
+        assert sampled(n, r, samples, n + r) == plain_sampled_loop(n, r, samples, n + r)
 
 
 def test_sampled_kernel_scans_count_every_step_and_the_last_scan():
