@@ -27,6 +27,15 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
 Both clique-first scans charge and collect each clique's AND through
 ``_collect_pairs``.  Every route gives the same batch.
 
+Every clique and bit walk runs from the highest vertex down, as
+``graphs.near_cliques`` and ``graphs.iter_bits`` do: a vertex is taken as
+the top bit of what is left and cleared, and is extended or paired only
+with the candidates left below it, so no operand of the walk is wider than
+that vertex.  A walk from the bottom would touch the whole row for every
+bit it takes (``mask & -mask``, or a shift past the vertex), and rows are
+as wide as the graph.  The pair collector takes (a, b) with a from the AND
+below b, and the row scan reverses each row's hits, so batches stay sorted.
+
 The kernel keeps the current graph inside the host: ``_check_inputs``
 refuses a start with an edge outside it, and every pair the kernel adds is a
 host pair.  So ``adj[x]`` is a subset of ``host_adj[x]`` at every kernel
@@ -176,10 +185,10 @@ def _collect_pairs(
         spent += 1 + c + c * (c - 1) // 2
         if spent > budget:
             raise OverBudget
-        for a in iter_bits(common):
-            partners = (common & (host_adj[a] ^ adj[a])) >> (a + 1)
-            for b in iter_bits(partners):
-                found.add((a, a + 1 + b))
+        for b in iter_bits(common):
+            common ^= 1 << b  # the vertices of the AND below b
+            for a in iter_bits(common & (host_adj[b] ^ adj[b])):
+                found.add((a, b))
     return spent
 
 
@@ -194,7 +203,8 @@ def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int
     at least r-2 neighbours with u, counted in r-2 bit-sliced saturating
     levels: ``levels[j]`` holds the vertices seen in more than j of u's
     neighbour rows.  Each pair left is probed with ``has_clique_rows`` on
-    its common neighbourhood.
+    its common neighbourhood, from the row's top down, and the row's hits
+    go into the batch reversed.
     """
     k = r - 2
     batch: list[tuple[int, int]] = []
@@ -209,13 +219,15 @@ def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int
                     levels[j] |= levels[j - 1] & aw
                 levels[0] |= aw
             cand &= levels[-1] >> base
+        hits = []
         while cand:
-            low = cand & -cand
-            v = base + low.bit_length() - 1
-            cand ^= low
+            b = cand.bit_length() - 1
+            cand ^= 1 << b
+            v = base + b
             common = au & adj[v]
             if common.bit_count() >= k and has_clique_rows(adj, common, k):
-                batch.append((u, v))
+                hits.append((u, v))
+        batch += reversed(hits)  # the row is walked from the top
     return batch
 
 
@@ -257,6 +269,7 @@ def eligible_after(
             # case 2's candidates w, for x = u and for x = v
             wu = adj[v] & (host_adj[u] ^ adj[u])
             wv = adj[u] & (host_adj[v] ^ adj[v])
+            wuv = wu | wv
             # C's vertices with a non-adjacent host partner in C (case 1's
             # pairs lie among them), and those adjacent to some w
             inner = near = 0
@@ -264,7 +277,7 @@ def eligible_after(
                 for a in iter_bits(c):
                     if c & (host_adj[a] ^ adj[a]):
                         inner |= 1 << a
-                    if adj[a] & (wu | wv):
+                    if adj[a] & wuv:
                         near |= 1 << a
             if inner & (inner - 1):
                 cliques = near_cliques(adj, r - 4, c, budget - work)
@@ -275,11 +288,11 @@ def eligible_after(
                 work += 1
                 if work > budget:
                     raise OverBudget
-                row = wu | wv
+                row = wuv
                 for a in q:
                     row &= adj[a]
                 reach |= row
-                if reach == wu | wv:
+                if reach == wuv:
                     break
             for x, ws in ((u, wu), (v, wv)):
                 for w in iter_bits(ws & reach):

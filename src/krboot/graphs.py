@@ -9,11 +9,16 @@ from typing import Iterable, Iterator, Sequence
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set-bit positions of ``mask`` in ascending order."""
+    """Yield set-bit positions of ``mask`` in descending order.
+
+    Each position is the top bit, cleared once taken, so every operand is
+    only as wide as what is left; ``mask & -mask`` from the bottom would
+    touch the whole mask for every bit.
+    """
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        v = mask.bit_length() - 1
+        yield v
+        mask ^= 1 << v
 
 
 class Graph:
@@ -204,12 +209,16 @@ def near_cliques(
     vertices) of the graph whose rows are ``adj``, with ``within`` ANDed with
     Q's rows: the vertices of ``within`` adjacent to all of Q.
 
-    Q comes out ascending and the cliques in lexicographic order; k = 0 yields
-    the empty clique with ``within`` itself.  Q grows from its least vertex,
-    and the AND is carried down: a partial clique's AND holds exactly the
-    vertices that extend it, so its bits above Q's last vertex are the next
-    candidates, and a partial clique with fewer of them than it still needs
-    is dropped.  The AND never holds Q's own vertices (rows hold no loops).
+    Q comes out ascending, and the cliques in decreasing colex order: by
+    largest vertex first, then by the rest of Q the same way.  k = 0 yields
+    the empty clique with ``within`` itself.  Q grows from its largest vertex
+    down, and the AND is carried down: a partial clique's AND holds exactly
+    the vertices that extend it, so its bits below Q's least vertex are the
+    next candidates, and a partial clique with fewer of them than it still
+    needs is dropped.  Taking each candidate from the top and extending only
+    with the candidates left below it keeps every mask operand as narrow as
+    the vertex being extended.  The AND never holds Q's own vertices (rows
+    hold no loops).
 
     With a ``budget``, each partial or whole clique visited costs one unit,
     and the generator raises ``OverBudget`` once it has spent more.
@@ -226,24 +235,25 @@ def near_cliques(
     # each entry is a partial clique, its AND and the candidates left to try
     stack = [((), within, within)]
     while stack:
-        prefix, common, mask = stack.pop()
-        need = k - len(prefix)
+        suffix, common, mask = stack.pop()
+        need = k - len(suffix)
         while mask:
-            low = mask & -mask
-            mask ^= low
-            v = low.bit_length() - 1
+            v = mask.bit_length() - 1
+            mask ^= 1 << v
             c = common & adj[v]
             if budget is not None:
                 spent += 1
                 if spent > budget:
                     raise OverBudget
             if need == 1:
-                yield prefix + (v,), c
-            elif (c >> (v + 1)).bit_count() >= need - 1:
-                # the rest of this entry waits under its first extension
-                stack.append((prefix, common, mask))
-                stack.append((prefix + (v,), c, c >> (v + 1) << (v + 1)))
-                break
+                yield (v,) + suffix, c
+            else:
+                below = c & mask
+                if below.bit_count() >= need - 1:
+                    # the rest of this entry waits under its first extension
+                    stack.append((suffix, common, mask))
+                    stack.append(((v,) + suffix, c, below))
+                    break
 
 
 def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:
@@ -255,9 +265,8 @@ def has_clique_rows(adj: list[int], candidates: int, k: int) -> bool:
         return candidates != 0
     mask = candidates
     while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
+        v = mask.bit_length() - 1
+        mask ^= 1 << v
         rest = mask & adj[v]
         if k == 2:
             if rest:

@@ -46,11 +46,11 @@ def check_induced_free(
     hyperedge, with equality iff no other r-set is near-complete, which is
     the pass.
 
-    Only a count above that runs the triple walk, which takes the sweep's
-    order: over vertex pairs in ascending order, each pair's
-    common-neighbourhood cliques in lexicographic order.  The witness is the
-    candidate of the least failing triple, and ``verbose`` lists every
-    failing candidate once, in the order of its least triple.
+    Only a count above that runs the triple walk, and its failing triples
+    are sorted into the sweep's order: over vertex pairs in ascending order,
+    each pair's common-neighbourhood cliques in lexicographic order.  The
+    witness is the candidate of the least failing triple, and ``verbose``
+    lists every failing candidate once, in the order of its least triple.
 
     ``stats["cliques"]`` counts the (r-2)-cliques of the skeleton,
     ``stats["candidates"]`` the triples and ``stats["pairs"]`` the C(n, 2)
@@ -74,9 +74,9 @@ def check_induced_free(
         return VerificationReport(True, None, None, stats)
     bad: list[tuple[int, int, tuple[int, ...]]] = []
     for clique, common in near_cliques(skel.adj, r - 2):
-        for u in iter_bits(common):
-            for v in iter_bits(common >> (u + 1)):
-                v += u + 1
+        for v in iter_bits(common):
+            common ^= 1 << v  # the vertices of the AND below v
+            for u in iter_bits(common):
                 if tuple(sorted(clique + (u, v))) not in edge_sets:
                     bad.append((u, v, clique))
     bad.sort()

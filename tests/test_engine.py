@@ -257,6 +257,16 @@ def hosted_starts(draw):
     return start, r, host
 
 
+@settings(max_examples=200, deadline=None)
+@given(hosted_starts())
+def test_row_scan_batch_is_strictly_ascending(instance):
+    # each row's partners are probed from the top, and its hits reversed
+    start, r, host = instance
+    batch = eligible(start.adj, host.adj, r)
+    assert all(p < q for p, q in zip(batch, batch[1:]))
+    assert batch == closing_pairs(start, r, host)
+
+
 def assert_anchored_step(g, host, r, batch):
     """``eligible_after`` on both its paths equals the rule checked pair by
     pair; returns it."""
@@ -343,10 +353,11 @@ def test_step_kr_on_complete_graph_falls_back_at_once():
 
 
 def test_step_kr_falls_back_on_a_dense_start():
-    # the first clique, {0, 1}, has the 38-vertex hole as its AND, which is
+    # the dense start mirrored (v -> 39 - v), so that the first clique walked
+    # from the top, {38, 39}, has the 38-vertex hole as its AND, which is
     # charged 1 + 38 + C(38, 2) units against a budget of the C(38, 2)
     # missing pairs before any pair is taken from it
-    g = minimal_percolating(40, 4)
+    g = Graph.from_edges(40, [(39 - v, 39 - u) for u, v in minimal_percolating(40, 4).edges()])
     batch = [e for e in itertools.combinations(range(40), 2) if not g.has_edge(*e)]
     taken = []  # bit iterations begun when each row scan starts
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+import weakref
 
 import pytest
 
@@ -234,6 +235,32 @@ def test_compute_row_cells_are_the_built_parts(tmp_path, monkeypatch, family):
         want["percolated"] = str(trace.percolated).lower()
     assert {cell: row[cell] for cell in want} == want
     assert (row["family"], row["n"], row["r"]) == (family, str(n), str(r))
+    # each stage that ran has its time, and only those
+    ran = {"build_ms": True, "cond_i_ms": c.hypergraph is not None,
+           "cond_ii_ms": c.f_pairs is not None, "run_ms": c.start is not None}
+    assert {cell: row[cell].isdigit() for cell in ran} == ran
+    assert all(row[cell] == "" for cell, made in ran.items() if not made)
+
+
+def test_compute_row_drops_the_scaffold_before_run(monkeypatch):
+    # run needs only the start: the built output, with its hypergraph and
+    # skeleton, is gone when it begins
+    built = []
+
+    def build_spy(*args, **kwargs):
+        c = build(*args, **kwargs)
+        built.append(weakref.ref(c))
+        return c
+
+    def run_spy(start, *args, **kwargs):
+        assert built[0]() is None
+        return run(start, *args, **kwargs)
+
+    monkeypatch.setattr(experiment.constructions, "build", build_spy)
+    monkeypatch.setattr(experiment.engine, "run", run_spy)
+    cfg = ExperimentConfig(family="chain", ns=[3], r=5, output="o.csv")
+    assert compute_row(cfg, 3)["steps"] == "3"
+    assert len(built) == 1
 
 
 def test_row_invariant_flags_short_runs():
@@ -321,8 +348,8 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     rows_s = run_experiment(serial)
     rows_p = run_experiment(parallel)
 
-    def strip(rows):  # wall time differs run to run
-        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+    def strip(rows):  # stage times differ run to run
+        return [{k: v for k, v in r.items() if not k.endswith("_ms")} for r in rows]
 
     assert strip(rows_s) == strip(rows_p)
 
@@ -380,10 +407,15 @@ def test_point_cells_leave_unused_settings_blank():
 
 
 def test_run_experiment_refuses_the_old_header(tmp_path):
-    # a header missing the B and max_steps columns, or the input column
-    for dropped in (("B", "max_steps"), ("input",)):
+    # a header missing the B and max_steps columns, or the input column, or
+    # with the one wall_ms column in place of the four stage times
+    headers = [
+        [f for f in CSV_FIELDS if f not in dropped] for dropped in (("B", "max_steps"), ("input",))
+    ]
+    headers.append([f for f in CSV_FIELDS if not f.endswith("_ms")] + ["wall_ms"])
+    for header in headers:
         out = tmp_path / "rows.csv"
-        out.write_text(",".join(f for f in CSV_FIELDS if f not in dropped) + "\n")
+        out.write_text(",".join(header) + "\n")
         cfg = ExperimentConfig(family="chain", ns=[1], r=5, output=str(out))
         with pytest.raises(ValueError, match="different header .*new file"):
             run_experiment(cfg)

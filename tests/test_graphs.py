@@ -11,6 +11,7 @@ from krboot.graphs import (
     UniformHypergraph,
     cone,
     has_clique_rows,
+    iter_bits,
     near_cliques,
     two_skeleton,
 )
@@ -52,6 +53,16 @@ def test_graph_edges_sorted_and_copy_independent():
     h.add_edge(2, 3)
     assert g != h and not g.has_edge(2, 3)
     assert g == Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+
+
+def test_iter_bits_yields_positions_descending():
+    assert list(iter_bits(0)) == []
+    assert list(iter_bits(0b101101)) == [5, 3, 2, 0]
+    rng = random.Random(7)
+    for _ in range(50):
+        mask = rng.getrandbits(rng.randint(1, 300))
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert list(iter_bits(mask)) == bits[::-1]
 
 
 def test_complete_graph():
@@ -157,11 +168,12 @@ def cliques(g: Graph, mask: int, k: int) -> list[tuple[int, ...]]:
 
 def test_cliques_k4():
     k4 = Graph.complete(4)
+    # largest vertex first: decreasing colex order
     assert cliques(k4, 0b1111, 3) == [
-        (0, 1, 2),
-        (0, 1, 3),
-        (0, 2, 3),
         (1, 2, 3),
+        (0, 2, 3),
+        (0, 1, 3),
+        (0, 1, 2),
     ]
     assert cliques(k4, 0b1111, 0) == [()]
 
@@ -174,17 +186,19 @@ def test_cliques_respect_candidate_mask():
 
 def test_cliques_on_path():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert cliques(path, 0b111, 2) == [(0, 1), (1, 2)]
+    assert cliques(path, 0b111, 2) == [(1, 2), (0, 1)]
     assert cliques(path, 0b111, 3) == []
 
 
 def brute_cliques(g: Graph, candidates: int, k: int) -> list[tuple[int, ...]]:
+    """The k-cliques inside ``candidates``, in decreasing colex order."""
     verts = [v for v in range(g.n) if (candidates >> v) & 1]
-    return [
+    found = [
         sub
         for sub in itertools.combinations(verts, k)
         if all(g.has_edge(a, b) for a, b in itertools.combinations(sub, 2))
     ]
+    return sorted(found, key=lambda q: q[::-1], reverse=True)
 
 
 def test_cliques_match_brute_force_on_random_graphs():
@@ -205,14 +219,14 @@ def test_cliques_match_brute_force_on_random_graphs():
 
 
 def test_near_cliques_stop_past_their_budget():
-    # K_4's triangles visit 0, 01, 012, 013, 02, 023, 03, then 1, 12, 123,
-    # 13, then 2 and 3: 13 partial and whole cliques, the 10th being 123
+    # K_4's triangles visit 3, 23, 123, 023, 13, 013, 03, then 2, 12, 012,
+    # 02, then 1 and 0: 13 partial and whole cliques, the 10th being 012
     k4 = Graph.complete(4)
     assert len(list(near_cliques(k4.adj, 3, budget=13))) == 4
     with pytest.raises(OverBudget):
         list(near_cliques(k4.adj, 3, budget=12))
     gen = near_cliques(k4.adj, 3, budget=9)
-    assert [q for q, _ in itertools.islice(gen, 3)] == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+    assert [q for q, _ in itertools.islice(gen, 3)] == [(1, 2, 3), (0, 2, 3), (0, 1, 3)]
     with pytest.raises(OverBudget):
         next(gen)
     with pytest.raises(OverBudget):

@@ -47,7 +47,8 @@ def all_pairs_sweep(h: UniformHypergraph, r: int, verbose: bool):
     failures = []
     for u, v in itertools.combinations(range(h.n), 2):
         pairs += 1
-        for clique, _ in near_cliques(skel.adj, r - 2, skel.adj[u] & skel.adj[v]):
+        # cond (i)'s sweep order: each pair's cliques in lexicographic order
+        for clique, _ in sorted(near_cliques(skel.adj, r - 2, skel.adj[u] & skel.adj[v])):
             candidates += 1
             cand = tuple(sorted((u, v) + clique))
             if cand not in edges:
