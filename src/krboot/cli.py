@@ -11,7 +11,7 @@ import sys
 
 from . import constructions, engine, experiment, fileio, verify
 from .apsets import SOURCES, ApSet
-from .graphs import Graph
+from .graphs import Graph, two_skeleton
 from .search import max_running_time, max_running_time_sampled
 
 
@@ -32,7 +32,8 @@ _CONSTRUCT_FLAGS = {
     "input": (str, "graph file to cone over"),
 }
 
-# construction part -> (file suffix, writer, name of its edge count on stdout)
+# construction part -> (file suffix, writer, name of its edge count on stdout);
+# the skeleton is rebuilt from the hypergraph of the families with pairs
 _PART_FILES = {
     "hypergraph": ("hypergraph.txt", fileio.write_hypergraph, "hyperedges"),
     "f_pairs": ("fpairs.txt", fileio.write_fpairs, None),
@@ -55,7 +56,10 @@ def cmd_construct(args) -> int:
     out = constructions.build(args.family, **values)
     fields = [f"vertices={out.vertices}"]
     for part, (suffix, write, count) in _PART_FILES.items():
-        made = getattr(out, part)
+        if part == "skeleton":
+            made = two_skeleton(out.hypergraph) if out.f_pairs is not None else None
+        else:
+            made = getattr(out, part)
         if made is not None:
             write(made, f"{args.out_prefix}.{suffix}")
             if count:

@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 from .apsets import ApSet
 from .graphs import Graph, UniformHypergraph, cone, two_skeleton
+from .verify import check_ap_free
 
 
 class IntegrityError(ValueError):
@@ -21,17 +22,17 @@ class IntegrityError(ValueError):
 
 @dataclass
 class ConstructionOutput:
-    """A scaffold hypergraph with its pair sequence and derived graphs.
+    """A scaffold hypergraph with its pair sequence and start graph.
 
     ``f_pairs[i]`` is contained in ``hypergraph.edges[i]``; ``start`` is the
-    2-skeleton with exactly those pairs deleted.  Parts a family does not
+    2-skeleton with exactly those pairs deleted.  The skeleton itself is not
+    kept: ``two_skeleton(hypergraph)`` rebuilds it.  Parts a family does not
     make are None: hB makes only the hypergraph, minimal and cone-of only
     the start graph.
     """
 
     hypergraph: UniformHypergraph | None = None
     f_pairs: list[tuple[int, int]] | None = None
-    skeleton: Graph | None = None
     start: Graph | None = None
     meta: dict = field(default_factory=dict)
 
@@ -41,8 +42,9 @@ class ConstructionOutput:
         return (self.hypergraph if self.hypergraph is not None else self.start).n
 
 
-def _minus_pairs(skel: Graph, f_pairs: list[tuple[int, int]]) -> Graph:
-    g = skel.copy()
+def _minus_pairs(g: Graph, f_pairs: list[tuple[int, int]]) -> Graph:
+    """Remove ``f_pairs`` from ``g`` in place and return ``g``; every pair
+    must still be an edge when its turn comes."""
     for u, v in f_pairs:
         if not g.has_edge(u, v):
             raise IntegrityError(
@@ -62,8 +64,7 @@ def _assemble(
     for i, ((u, v), e) in enumerate(zip(f_pairs, h.edges)):
         if u not in e or v not in e:
             raise IntegrityError(f"pair {f_pairs[i]} not inside hyperedge {i}")
-    skel = two_skeleton(h)
-    return ConstructionOutput(h, f_pairs, skel, _minus_pairs(skel, f_pairs), meta)
+    return ConstructionOutput(h, f_pairs, _minus_pairs(two_skeleton(h), f_pairs), meta)
 
 
 # ---------------------------------------------------------------- 6-uniform
@@ -189,8 +190,6 @@ def check_hprime_slopes(n: int, B: ApSet) -> None:
         if not 1 <= b <= n // 4:
             raise ValueError(f"slope {b} outside [1, {n // 4}]")
     reduced = tuple(b // 10 for b in B.elements)
-    from .verify import check_ap_free
-
     rep = check_ap_free(ApSet(max(reduced), reduced))
     if not rep.passed:
         raise ValueError(f"B/10 contains an arithmetic progression: {rep.witness}")
@@ -310,15 +309,15 @@ class Family(NamedTuple):
     process order the family is built for (None: the caller picks);
     ``min_size`` is the least size ``n`` that ``builder`` accepts with any
     other parameters (None: the family has no size); ``parts`` names the
-    ``ConstructionOutput`` fields it fills; ``check_slopes(n, B)`` raises
-    ValueError on a slope set that ``builder`` refuses at size ``n`` (None:
-    the family reads no ``B``)."""
+    ``ConstructionOutput`` fields that ``builder`` fills, meta aside;
+    ``check_slopes(n, B)`` raises ValueError on a slope set that ``builder``
+    refuses at size ``n`` (None: the family reads no ``B``)."""
 
     builder: Callable
     params: tuple[str, ...]
     default_r: int | None
     min_size: int | None
-    parts: tuple[str, ...] = ("hypergraph", "f_pairs", "skeleton", "start")
+    parts: tuple[str, ...] = ("hypergraph", "f_pairs", "start")
     check_slopes: Callable | None = None
 
 

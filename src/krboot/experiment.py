@@ -239,8 +239,9 @@ def compute_row(
     """One sweep point: build, then cond (i), cond (ii) and ``engine.run``,
     each on the part it needs when the family makes that part, and each
     timed in its own ``*_ms`` cell.  Blank cells mean 'not applicable to
-    this family'.  Only the start is kept for ``run``: the hypergraph and
-    skeleton are dropped before it."""
+    this family'.  Only the start is kept for ``run``: the hypergraph is
+    dropped before it.  No skeleton is held: cond (i) builds its own, and the
+    build cuts the start out of one in place."""
     if slopes is None:
         slopes = _slopes_for(cfg, n)
     row = {key: "" for key in CSV_FIELDS}

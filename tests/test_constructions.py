@@ -43,7 +43,7 @@ def test_h6_smallest_instance():
     assert h.edges[0] == tuple(sorted((x0, x1, y1, z0, z1, w1)))
     assert c.f_pairs == [(min(x1, z1), max(x1, z1))]
     # start is that clique missing exactly the designated pair
-    assert c.skeleton.edge_count() == 15
+    assert two_skeleton(h).edge_count() == 15
     assert c.start.edge_count() == 14
     assert not c.start.has_edge(x1, z1)
 
@@ -106,7 +106,7 @@ def test_chain_single_edge():
     assert c.hypergraph.n == 5
     assert c.hypergraph.edges == [(0, 1, 2, 3, 4)]
     assert c.f_pairs == [(3, 4)]
-    assert c.skeleton == Graph.complete(5)
+    assert two_skeleton(c.hypergraph) == Graph.complete(5)
     assert c.start.edge_count() == 9
 
 
@@ -266,20 +266,21 @@ def test_families_that_read_slopes_check_them():
 
 def test_start_is_the_skeleton_minus_the_designated_pairs():
     for c in (build_chain(4), build_h6(20), build_hprime(100, ApSet(10, (10,)))):
-        assert set(c.start.edges()) == set(c.skeleton.edges()) - set(c.f_pairs)
-        assert c.start.edge_count() == c.skeleton.edge_count() - len(c.f_pairs)
+        skel = two_skeleton(c.hypergraph)
+        assert set(c.start.edges()) == set(skel.edges()) - set(c.f_pairs)
+        assert c.start.edge_count() == skel.edge_count() - len(c.f_pairs)
 
 
 def test_minus_pairs_rejects_foreign_pair():
     c = build_chain(2)
     with pytest.raises(IntegrityError):
-        _minus_pairs(c.skeleton, [(0, 1), (0, 7)])
+        _minus_pairs(two_skeleton(c.hypergraph), [(0, 1), (0, 7)])
 
 
 def test_minus_pairs_rejects_duplicate_pair():
     c = build_chain(2)
     with pytest.raises(IntegrityError):
-        _minus_pairs(c.skeleton, [(3, 4), (3, 4)])
+        _minus_pairs(two_skeleton(c.hypergraph), [(3, 4), (3, 4)])
 
 
 def test_assemble_builds_the_skeleton_once(monkeypatch):
@@ -294,12 +295,15 @@ def test_assemble_builds_the_skeleton_once(monkeypatch):
     monkeypatch.setattr(constructions, "two_skeleton", counting)
     c = build_chain(5)
     assert len(calls) == 1
-    assert c.start == _minus_pairs(c.skeleton, c.f_pairs)
+    assert c.start == _minus_pairs(two_skeleton(c.hypergraph), c.f_pairs)
 
 
-def test_skeleton_field_matches_two_skeleton():
+def test_minus_pairs_cuts_the_graph_it_is_handed():
     c = build_chain(3)
-    assert c.skeleton == two_skeleton(c.hypergraph)
+    skel = two_skeleton(c.hypergraph)
+    cut = _minus_pairs(skel, c.f_pairs)
+    assert cut is skel
+    assert set(cut.edges()) == set(two_skeleton(c.hypergraph).edges()) - set(c.f_pairs)
 
 
 # ---------------------------------------------------------------- minimal

@@ -219,7 +219,7 @@ def test_compute_row_cells_are_the_built_parts(tmp_path, monkeypatch, family):
     row = compute_row(cfg, n)
 
     c = build(family, n=n, B=_slopes_for(cfg, n), r=r, input=cfg.input)
-    parts = ("hypergraph", "f_pairs", "skeleton", "start")
+    parts = ("hypergraph", "f_pairs", "start")
     assert tuple(p for p in parts if getattr(c, p) is not None) == FAMILIES[family].parts
     want = dict.fromkeys(("m", "cond_i", "cond_ii", "start_edges", "steps", "percolated"), "")
     want["vertices"] = str(c.vertices)
@@ -243,8 +243,8 @@ def test_compute_row_cells_are_the_built_parts(tmp_path, monkeypatch, family):
 
 
 def test_compute_row_drops_the_scaffold_before_run(monkeypatch):
-    # run needs only the start: the built output, with its hypergraph and
-    # skeleton, is gone when it begins
+    # run needs only the start: the built output, with its hypergraph, is
+    # gone when it begins
     built = []
 
     def build_spy(*args, **kwargs):

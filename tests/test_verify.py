@@ -309,7 +309,7 @@ def test_verify_construction_merges_both_checks():
 
 def test_verify_construction_reports_first_failing_condition():
     good = build_chain(2)
-    bad = ConstructionOutput(OVERLAP3, [(2, 3), (3, 4)], good.skeleton, good.start, {})
+    bad = ConstructionOutput(OVERLAP3, [(2, 3), (3, 4)], good.start, {})
     rep = verify_construction(bad, 5)
     assert not rep.passed and rep.witness_kind == "near-clique"
     assert rep.stats["cond_i"] == 0
