@@ -73,7 +73,9 @@ class PercolationTrace:
     final_edge_count: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({key: getattr(self, key) for key in (*_SCALARS, "steps")})
+        # a trace holds no cycles, so the encoder need not track the lists it is in
+        fields = {key: getattr(self, key) for key in (*_SCALARS, "steps")}
+        return json.dumps(fields, check_circular=False)
 
     @classmethod
     def from_json(cls, text: str) -> "PercolationTrace":

@@ -13,7 +13,7 @@ and the starts that take T steps are the bits of the last one.
 The exhaustive search walks the 2^C(n,2) starts in binary-counter order, in
 blocks of 2^20 starts: in a block the low 20 edges carry the counter's
 periodic bit patterns, built by doubling, and the higher edges are constant.
-The sampled search walks blocks of up to 4096 samples and draws each block
+The sampled search walks blocks of up to 2^15 samples and draws each block
 with one ``getrandbits(32 * words * size)``, ``words`` being the 32-bit words
 in C(n,2) bits.  It gets the same samples as a plain loop of
 ``getrandbits(C(n,2))`` calls: both take ``words`` words of the generator per
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import engine
@@ -41,7 +42,10 @@ from .graphs import Graph
 
 _MAX_EXHAUSTIVE_N = 8  # 2^28 starts: 256 blocks
 _BLOCK_BITS = 20  # 2^20 exhaustive starts per block
-_SAMPLE_BLOCK = 4096  # samples transposed and walked at once
+_SAMPLE_BLOCK = 1 << 15  # samples transposed and walked at once
+# translation tables: byte -> b"0" or b"1", bit j of the byte, which runs
+# through 2^j zeros and 2^j ones as the byte counts up
+_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
 Rule = list[tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]]
 
@@ -67,6 +71,7 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+@lru_cache(maxsize=8)
 def _rule(n: int, r: int) -> Rule:
     """For each pair (u, v) of K_n, in edge-list order: its legs (uw, vw), one
     for each other vertex w, and its closers, one for each (r-2)-set Q of
@@ -74,7 +79,7 @@ def _rule(n: int, r: int) -> Rule:
     list: the legs' ANDs, one per w, followed by the state, one per edge.
     ``first`` is Q's first leg and ``rest`` indexes Q's other legs and then
     the edges inside Q, shifted past the legs.  Edges are edge-list
-    indices."""
+    indices.  The rule is cached and shared, so callers only read it."""
     edges = _edge_list(n)
     index = {}
     for i, (u, v) in enumerate(edges):
@@ -106,7 +111,7 @@ def _walk(state: list[int], starts: int, rule: Rule) -> tuple[int, int, int]:
         new = state[:]
         changed = 0
         for e, (legs, closers) in enumerate(rule):
-            need = active & ~state[e]
+            need = active ^ (active & state[e])  # active & ~state[e], with no negative int
             if not need:
                 continue
             ops = [need & state[uw] & state[vw] for uw, vw in legs]
@@ -194,9 +199,6 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     # the edges in that word sit ``drop`` bits higher in a sample's chunk
     drop = 32 * words - pairs
     pos = [e if e < pairs + drop - 32 else e + drop for e in range(pairs)]
-    # byte -> b"0" or b"1", bit j of the byte
-    digits = [bytes.maketrans(bytes(range(256)), bytes(48 + (b >> j & 1) for b in range(256)))
-              for j in range(8)]
     best_time, best_mask, slowest, scans = -1, 0, 0, 0
     for lo in range(0, samples, _SAMPLE_BLOCK):
         size = min(_SAMPLE_BLOCK, samples - lo)
@@ -204,7 +206,7 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
         # column e reads its bits from the last sample's chunk down to the
         # first, as int(..., 2) wants them
         end = width * (size - 1)
-        cols = [int(data[end + (p >> 3) :: -width].translate(digits[p & 7]), 2) for p in pos]
+        cols = [int(data[end + (p >> 3) :: -width].translate(_DIGITS[p & 7]), 2) for p in pos]
         t, last, s = _walk(cols, size, rule)
         scans += s
         if t > best_time:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from krboot import search
 from krboot.engine import run
 from krboot.graphs import Graph, cone
 from krboot.search import (
-    _SAMPLE_BLOCK,
     _edge_list,
     _rule,
     _walk,
@@ -204,13 +204,15 @@ def test_sampled_search_equals_a_plain_loop(n, r, samples, seed):
     assert sampled(n, r, samples, seed) == plain_sampled_loop(n, r, samples, seed)
 
 
-def test_sampled_search_matches_a_plain_loop_across_bytes():
+def test_sampled_search_matches_a_plain_loop_across_bytes(monkeypatch):
     # a block's samples come from one getrandbits call in 32-bit words, and
     # getrandbits(C(n,2)) keeps the high C(n,2) % 32 bits of a sample's last
     # word: n=8 keeps 28 bits of one word, n=9 36 bits of two (28 dropped),
     # n=12 and n=22 end inside their last word, n=64 fills 63 words with
-    # nothing dropped, and _SAMPLE_BLOCK + 76 samples make two blocks
-    two_blocks = _SAMPLE_BLOCK + 76
+    # nothing dropped, and a block and 76 samples make two blocks; a small
+    # block keeps the plain loop short
+    monkeypatch.setattr(search, "_SAMPLE_BLOCK", 4096)
+    two_blocks = search._SAMPLE_BLOCK + 76
     for n, r, samples in (
         (8, 4, two_blocks),
         (9, 4, 200),
@@ -221,6 +223,26 @@ def test_sampled_search_matches_a_plain_loop_across_bytes():
         (64, 3, 4),
     ):
         assert sampled(n, r, samples, n + r) == plain_sampled_loop(n, r, samples, n + r)
+
+
+def test_sampled_results_do_not_depend_on_the_block_size(monkeypatch):
+    def results():
+        return [sampled(8, 4, 20000, seed) for seed in range(4)]
+
+    monkeypatch.setattr(search, "_SAMPLE_BLOCK", 1000)  # 20 blocks
+    want = results()
+    for block in (4096, 1 << 15):  # 5 blocks, and one
+        monkeypatch.setattr(search, "_SAMPLE_BLOCK", block)
+        assert results() == want
+
+
+def test_the_cached_rule_is_shared_and_left_unchanged():
+    assert _rule(6, 4) is _rule(6, 4)
+    assert _rule(8, 4) is _rule(8, 4)
+    before = copy.deepcopy(_rule(6, 4)), copy.deepcopy(_rule(8, 4))
+    max_running_time(6, 4)
+    max_running_time_sampled(8, 4, 5000, 1)
+    assert (_rule(6, 4), _rule(8, 4)) == before
 
 
 def test_sampled_kernel_scans_count_every_step_and_the_last_scan():
