@@ -13,15 +13,19 @@ and the starts that take T steps are the bits of the last one.
 The exhaustive search walks the 2^C(n,2) starts in binary-counter order, in
 blocks of 2^20 starts: in a block the low 20 edges carry the counter's
 periodic bit patterns, built by doubling, and the higher edges are constant.
-The sampled search walks blocks of up to 2^15 samples and draws each block
-with one ``getrandbits(32 * words * size)``, ``words`` being the 32-bit words
-in C(n,2) bits.  It gets the same samples as a plain loop of
-``getrandbits(C(n,2))`` calls: both take ``words`` words of the generator per
-sample and place them least significant first, and the plain call shifts its
-last word right by 32 - C(n,2) % 32 (when that is not 32), keeping its high
-bits.  So sample i is chunk i of the block draw's little-endian bytes, with
-the edges of its last word read that many bits higher, and the draws are
-transposed into edge columns from those bytes.
+The sampled search walks blocks of up to 2^15 samples, and of at most 2^23
+drawn bits, and draws each block with one ``getrandbits(32 * words * size)``,
+``words`` being the 32-bit words in C(n,2) bits.  It gets the same samples as
+a plain loop of ``getrandbits(C(n,2))`` calls: both take ``words`` words of
+the generator per sample and place them least significant first, and the
+plain call shifts its last word right by 32 - C(n,2) % 32 (when that is not
+32), keeping its high bits.  So sample i is chunk i of the block draw, W =
+32 * words bits wide, with the edges of its last word read that many bits
+higher.  The draw is turned into edge columns by transposing each tile of 8
+chunks by 8 bits in place, all tiles at once, with three masked delta swaps
+(Hacker's Delight, 7-3).  Byte k of a tile's row b then holds bit 8k + b of
+each of the tile's 8 chunks, so an edge's column is one strided slice of the
+little-endian bytes.
 
 Within a block the lowest bit of the last changed set is its first slowest
 start, and a block replaces the leader only if it is strictly slower, so ties
@@ -42,10 +46,8 @@ from .graphs import Graph
 
 _MAX_EXHAUSTIVE_N = 8  # 2^28 starts: 256 blocks
 _BLOCK_BITS = 20  # 2^20 exhaustive starts per block
-_SAMPLE_BLOCK = 1 << 15  # samples transposed and walked at once
-# translation tables: byte -> b"0" or b"1", bit j of the byte, which runs
-# through 2^j zeros and 2^j ones as the byte counts up
-_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+_SAMPLE_BLOCK = 1 << 15  # samples transposed and walked at once, at most
+_SAMPLE_BITS = 1 << 23  # and bits drawn per sampled block, at most
 
 Rule = list[tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]]
 
@@ -182,6 +184,40 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
     return _confirm(n, r, best_time, best_mask, 1 << pairs, scans, slowest, exhaustive=True)
 
 
+@lru_cache(maxsize=4)
+def _tile_masks(words: int, rows: int) -> tuple[int, int, int]:
+    """The delta-swap masks for j = 4, 2, 1 over ``rows`` chunks of ``words``
+    32-bit words: bit p of chunk i is set where i & j == 0 and p & j != 0.
+    The pattern repeats every 8 chunks, and p & j depends only on p % 8, so
+    a chunk's mask is one byte repeated.  The masks are cached and shared, so
+    callers only read them."""
+    width = 4 * words  # bytes per chunk
+    masks = []
+    for j, byte in ((4, b"\xf0"), (2, b"\xcc"), (1, b"\xaa")):
+        tile = b"".join(bytes(width) if i & j else byte * width for i in range(8))
+        masks.append(int.from_bytes(tile * (rows // 8), "little"))
+    return tuple(masks)
+
+
+def _columns(draw: int, words: int, size: int, pos: list[int]) -> list[int]:
+    """Bit i of column e is bit ``pos[e]`` of chunk i of ``draw``, ``size``
+    chunks of ``words`` 32-bit words each, least significant first."""
+    if not words:
+        return []
+    width = 4 * words  # bytes per chunk
+    rows = (size + 7) & -8  # whole 8-chunk tiles
+    x = draw
+    # swap bit p of chunk i with bit p - j of chunk i + j, for i & j == 0 and
+    # p & j != 0: the two sit (32 * words - 1) * j bits apart
+    for j, mask in zip((4, 2, 1), _tile_masks(words, rows)):
+        d = (32 * words - 1) * j
+        t = (x ^ (x >> d)) & mask
+        x ^= t ^ (t << d)
+    # bit a of byte k in tile row b is now bit 8k + b of the tile's chunk a
+    data = x.to_bytes(width * rows, "little")
+    return [int.from_bytes(data[width * (p & 7) + (p >> 3) :: 8 * width], "little") for p in pos]
+
+
 def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTimeResult:
     """Seeded lower-bound probe: best of ``samples`` uniform random starts."""
     if n < 1:
@@ -194,24 +230,21 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     rule = _rule(n, r)
     pairs = len(rule)
     words = (pairs + 31) // 32  # 32-bit words per sample
-    width = 4 * words  # bytes per sample
+    bits = 32 * words  # chunk width W
     # getrandbits(pairs) keeps the high pairs % 32 bits of its last word, so
     # the edges in that word sit ``drop`` bits higher in a sample's chunk
-    drop = 32 * words - pairs
+    drop = bits - pairs
     pos = [e if e < pairs + drop - 32 else e + drop for e in range(pairs)]
+    block = min(_SAMPLE_BLOCK, _SAMPLE_BITS // max(bits, 1))
     best_time, best_mask, slowest, scans = -1, 0, 0, 0
-    for lo in range(0, samples, _SAMPLE_BLOCK):
-        size = min(_SAMPLE_BLOCK, samples - lo)
-        data = rng.getrandbits(32 * words * size).to_bytes(width * size, "little")
-        # column e reads its bits from the last sample's chunk down to the
-        # first, as int(..., 2) wants them
-        end = width * (size - 1)
-        cols = [int(data[end + (p >> 3) :: -width].translate(_DIGITS[p & 7]), 2) for p in pos]
-        t, last, s = _walk(cols, size, rule)
+    for lo in range(0, samples, block):
+        size = min(block, samples - lo)
+        draw = rng.getrandbits(bits * size)
+        t, last, s = _walk(_columns(draw, words, size, pos), size, rule)
         scans += s
         if t > best_time:
             i = (last & -last).bit_length() - 1
-            chunk = int.from_bytes(data[width * i : width * (i + 1)], "little")
+            chunk = draw >> (bits * i) & ((1 << bits) - 1)
             best_mask = sum(1 << e for e, p in enumerate(pos) if chunk >> p & 1)
             best_time, slowest = t, 0
         if t == best_time:

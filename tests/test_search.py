@@ -225,6 +225,84 @@ def test_sampled_search_matches_a_plain_loop_across_bytes(monkeypatch):
         assert sampled(n, r, samples, n + r) == plain_sampled_loop(n, r, samples, n + r)
 
 
+# the transposition the sampled search used before its delta swaps, kept as
+# the oracle: a strided slice of each column's bytes from the last chunk down,
+# mapped to b"0" or b"1" by the byte's bit and parsed by int(..., 2)
+DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def text_columns(draw: int, words: int, size: int, pos: list[int]) -> list[int]:
+    width = 4 * words
+    data = draw.to_bytes(width * size, "little")
+    end = width * (size - 1)
+    return [int(data[end + (p >> 3) :: -width].translate(DIGITS[p & 7]), 2) for p in pos]
+
+
+def chunk_positions(n: int) -> tuple[int, list[int]]:
+    """Words per sample, and each edge's bit in a sample's chunk."""
+    pairs = len(_edge_list(n))
+    words = (pairs + 31) // 32
+    drop = 32 * words - pairs
+    return words, [e if e < pairs + drop - 32 else e + drop for e in range(pairs)]
+
+
+def test_delta_swap_columns_equal_the_text_transposition():
+    # words = 1, 1, 1, 2, 3, 8, 63 with drop = 31, 29, 4, 28, 30, 25, 0, and
+    # blocks that end inside, on and past an 8-chunk tile
+    rng = random.Random(23)
+    for n in (2, 3, 8, 9, 12, 22, 64):
+        words, pos = chunk_positions(n)
+        for size in (1, 7, 8, 9, 1000):
+            draw = rng.getrandbits(32 * words * size)
+            assert search._columns(draw, words, size, pos) == text_columns(draw, words, size, pos)
+
+
+def test_sampled_search_on_one_vertex_and_one_edge():
+    for n, samples, seed in ((1, 5, 0), (1, 1, 3), (2, 9, 0), (2, 40, 4)):
+        res = max_running_time_sampled(n, 3, samples, seed)
+        assert (res.max_time, res.kernel_scans, res.slowest_starts) == (0, samples, samples)
+        # every start ties at 0 steps, so the witness is the first draw
+        assert res.witness_start == start_of(n, random.Random(seed).getrandbits(n - 1))
+        assert sampled(n, 3, samples, seed) == plain_sampled_loop(n, 3, samples, seed)
+
+
+def test_the_cached_tile_masks_are_shared_and_left_unchanged():
+    assert search._tile_masks(1, 5000) is search._tile_masks(1, 5000)
+    before = search._tile_masks(1, 5000)
+    max_running_time_sampled(8, 4, 5000, 1)
+    assert search._tile_masks(1, 5000) is before
+    assert before == search._tile_masks.__wrapped__(1, 5000)
+
+
+def test_a_patched_block_size_never_reuses_masks_of_another(monkeypatch):
+    cached, seen = search._tile_masks, []
+
+    def spy(words, rows):
+        seen.append(rows)
+        masks = cached(words, rows)
+        assert masks == cached.__wrapped__(words, rows)
+        return masks
+
+    monkeypatch.setattr(search, "_tile_masks", spy)
+    want = plain_sampled_loop(9, 4, 300, 2)
+    for block, rows in ((1, [8] * 300), (64, [64] * 4 + [48]), (100, [104] * 3), (1000, [304])):
+        monkeypatch.setattr(search, "_SAMPLE_BLOCK", block)
+        seen.clear()
+        assert sampled(9, 4, 300, 2) == want
+        assert seen == rows
+
+
+def test_a_sampled_block_draws_at_most_2_to_the_23_bits(monkeypatch):
+    # 2^15 samples up to n = 23 (8 words each), fewer past it
+    sizes = []
+    monkeypatch.setattr(search, "_walk", lambda cols, starts, rule: sizes.append(starts) or (0, 1, starts))
+    monkeypatch.setattr(search, "_confirm", lambda *args, **kwargs: None)
+    for n, block in ((23, 1 << 15), (24, 29127), (64, 4161)):
+        sizes.clear()
+        max_running_time_sampled(n, 3, 2 * block + 1, 0)
+        assert sizes == [block, block, 1]
+
+
 def test_sampled_results_do_not_depend_on_the_block_size(monkeypatch):
     def results():
         return [sampled(8, 4, 20000, seed) for seed in range(4)]
