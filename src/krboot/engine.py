@@ -318,9 +318,9 @@ def run(
     """
     max_steps = _check_inputs(start, r, host, max_steps)
 
-    current = start.copy()
-    adj = current.adj
-    missing = host.edge_count() - start.edge_count()
+    adj = start.adj.copy()
+    host_edges = host.edge_count()
+    missing = host_edges - start.edge_count()
     steps: list[list[tuple[int, int]]] = []
     batch = start_scan(adj, host.adj, r, missing)
     truncated = False
@@ -337,12 +337,13 @@ def run(
         missing -= len(batch)
         batch = eligible_after(adj, host.adj, r, batch, missing)
 
+    # the graph stays inside the host, so ``missing`` is all that it lacks
     return PercolationTrace(
         steps=steps,
         running_time=len(steps),
-        percolated=current == host,
+        percolated=missing == 0,
         truncated=truncated,
-        final_edge_count=current.edge_count(),
+        final_edge_count=host_edges - missing,
     )
 
 

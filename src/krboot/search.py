@@ -27,12 +27,14 @@ chunks by 8 bits in place, all tiles at once, with three masked delta swaps
 each of the tile's 8 chunks, so an edge's column is one strided slice of the
 little-endian bytes.
 
-Within a block the lowest bit of the last changed set is its first slowest
-start, and a block replaces the leader only if it is strictly slower, so ties
-go to the first slowest start in binary-counter order or to the first slowest
-start drawn.  The slowest starts are counted over the blocks as they run.
-Each reported maximum is re-run through ``engine.run`` as a confirmation
-before being returned.
+Both searches only check their arguments and produce their blocks; one
+block loop, ``_slowest``, walks them and builds the result.  Within a block
+the lowest bit of the last changed set is its first slowest start, and a
+block replaces the leader only if it is strictly slower, so ties go to the
+first slowest start in binary-counter order or to the first slowest start
+drawn.  The slowest starts are counted over the blocks as they run.  The
+reported maximum is re-run through ``engine.run`` as a confirmation before
+being returned.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable, Iterable
 
 from . import engine
 from .graphs import Graph
@@ -49,7 +52,8 @@ _BLOCK_BITS = 20  # 2^20 exhaustive starts per block
 _SAMPLE_BLOCK = 1 << 15  # samples transposed and walked at once, at most
 _SAMPLE_BITS = 1 << 23  # and bits drawn per sampled block, at most
 
-Rule = list[tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]]
+Rule = list[tuple[list[tuple[int, int]], list[tuple[int, tuple[int, ...]]]]]
+Block = tuple[list[int], int, Callable[[int], int]]  # columns, size, start_of
 
 
 @dataclass
@@ -80,8 +84,9 @@ def _rule(n: int, r: int) -> Rule:
     those w.  A closer is flat, ``(first, rest)``, over the pair's operand
     list: the legs' ANDs, one per w, followed by the state, one per edge.
     ``first`` is Q's first leg and ``rest`` indexes Q's other legs and then
-    the edges inside Q, shifted past the legs.  Edges are edge-list
-    indices.  The rule is cached and shared, so callers only read it."""
+    the edges inside Q, shifted past the legs; for r = 3 it is the empty
+    tuple.  Edges are edge-list indices.  The rule is cached and shared, and
+    its closers are tuples, so callers only read it."""
     edges = _edge_list(n)
     index = {}
     for i, (u, v) in enumerate(edges):
@@ -92,7 +97,7 @@ def _rule(n: int, r: int) -> Rule:
         legs = [(index[u, w], index[v, w]) for w in others]
         off = len(legs)
         closers = [
-            (q[0], [*q[1:], *(off + index[others[a], others[b]] for a, b in combinations(q, 2))])
+            (q[0], (*q[1:], *(off + index[others[a], others[b]] for a, b in combinations(q, 2))))
             for q in combinations(range(off), r - 2)
         ]
         rule.append((legs, closers))
@@ -135,18 +140,23 @@ def _walk(state: list[int], starts: int, rule: Rule) -> tuple[int, int, int]:
         scans += changed.bit_count()
 
 
-def _confirm(
-    n: int,
-    r: int,
-    best_time: int,
-    best_mask: int,
-    examined: int,
-    scans: int,
-    slowest: int,
-    exhaustive: bool,
+def _slowest(
+    n: int, r: int, blocks: Iterable[Block], examined: int, exhaustive: bool
 ) -> MaxTimeResult:
-    """Replay the witness through ``engine.run``, which shares no code with
-    the bit-sliced walk."""
+    """Walk each ``(columns, size, start_of)`` block of starts and keep the
+    slowest; ``start_of(i)`` is the edge mask of the block's start i.  The
+    witness is replayed through ``engine.run``, which shares no code with the
+    bit-sliced walk."""
+    rule = _rule(n, r)
+    best_time, best_mask, slowest, scans = -1, 0, 0, 0
+    for columns, size, start_of in blocks:
+        t, last, s = _walk(columns, size, rule)
+        scans += s
+        if t > best_time:
+            best_time, best_mask, slowest = t, start_of((last & -last).bit_length() - 1), 0
+        if t == best_time:
+            slowest += last.bit_count()
+        del columns, start_of  # free this block's columns and draw before the next is made
     witness = Graph.from_edges(n, (e for i, e in enumerate(_edge_list(n)) if best_mask >> i & 1))
     trace = engine.run(witness, r, Graph.complete(n))
     if trace.truncated or trace.running_time != best_time:
@@ -160,8 +170,7 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
         raise ValueError(f"exhaustive search is limited to 1 <= n <= {_MAX_EXHAUSTIVE_N}")
     if r < 3:
         raise ValueError("need r >= 3")
-    rule = _rule(n, r)
-    pairs = len(rule)
+    pairs = n * (n - 1) // 2
     low = min(pairs, _BLOCK_BITS)
     size = 1 << low
     counter = []  # bit s of column i is bit i of s
@@ -172,16 +181,13 @@ def max_running_time(n: int, r: int) -> MaxTimeResult:
             period <<= 1
         counter.append(col)
     full = (1 << size) - 1
-    best_time, best_mask, slowest, scans = -1, 0, 0, 0
-    for block in range(1 << (pairs - low)):
-        high = [full if block >> i & 1 else 0 for i in range(pairs - low)]
-        t, last, s = _walk(counter + high, size, rule)
-        scans += s
-        if t > best_time:
-            best_time, best_mask, slowest = t, block << low | (last & -last).bit_length() - 1, 0
-        if t == best_time:
-            slowest += last.bit_count()
-    return _confirm(n, r, best_time, best_mask, 1 << pairs, scans, slowest, exhaustive=True)
+
+    def blocks():
+        for block in range(1 << (pairs - low)):
+            high = [full if block >> i & 1 else 0 for i in range(pairs - low)]
+            yield counter + high, size, lambda i, block=block: block << low | i
+
+    return _slowest(n, r, blocks(), 1 << pairs, exhaustive=True)
 
 
 @lru_cache(maxsize=4)
@@ -227,8 +233,7 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    rule = _rule(n, r)
-    pairs = len(rule)
+    pairs = n * (n - 1) // 2
     words = (pairs + 31) // 32  # 32-bit words per sample
     bits = 32 * words  # chunk width W
     # getrandbits(pairs) keeps the high pairs % 32 bits of its last word, so
@@ -236,17 +241,16 @@ def max_running_time_sampled(n: int, r: int, samples: int, seed: int) -> MaxTime
     drop = bits - pairs
     pos = [e if e < pairs + drop - 32 else e + drop for e in range(pairs)]
     block = min(_SAMPLE_BLOCK, _SAMPLE_BITS // max(bits, 1))
-    best_time, best_mask, slowest, scans = -1, 0, 0, 0
-    for lo in range(0, samples, block):
-        size = min(block, samples - lo)
-        draw = rng.getrandbits(bits * size)
-        t, last, s = _walk(_columns(draw, words, size, pos), size, rule)
-        scans += s
-        if t > best_time:
-            i = (last & -last).bit_length() - 1
-            chunk = draw >> (bits * i) & ((1 << bits) - 1)
-            best_mask = sum(1 << e for e, p in enumerate(pos) if chunk >> p & 1)
-            best_time, slowest = t, 0
-        if t == best_time:
-            slowest += last.bit_count()
-    return _confirm(n, r, best_time, best_mask, samples, scans, slowest, exhaustive=False)
+
+    def blocks():
+        for lo in range(0, samples, block):
+            size = min(block, samples - lo)
+            draw = rng.getrandbits(bits * size)
+
+            def start_of(i: int, draw: int = draw) -> int:
+                chunk = draw >> (bits * i) & ((1 << bits) - 1)
+                return sum(1 << e for e, p in enumerate(pos) if chunk >> p & 1)
+
+            yield _columns(draw, words, size, pos), size, start_of
+
+    return _slowest(n, r, blocks(), samples, exhaustive=False)

@@ -295,8 +295,11 @@ def test_a_patched_block_size_never_reuses_masks_of_another(monkeypatch):
 def test_a_sampled_block_draws_at_most_2_to_the_23_bits(monkeypatch):
     # 2^15 samples up to n = 23 (8 words each), fewer past it
     sizes = []
-    monkeypatch.setattr(search, "_walk", lambda cols, starts, rule: sizes.append(starts) or (0, 1, starts))
-    monkeypatch.setattr(search, "_confirm", lambda *args, **kwargs: None)
+
+    def spy(n, r, blocks, examined, exhaustive):  # draws every block, walks none
+        sizes.extend(size for _, size, _ in blocks)
+
+    monkeypatch.setattr(search, "_slowest", spy)
     for n, block in ((23, 1 << 15), (24, 29127), (64, 4161)):
         sizes.clear()
         max_running_time_sampled(n, 3, 2 * block + 1, 0)
@@ -321,6 +324,14 @@ def test_the_cached_rule_is_shared_and_left_unchanged():
     max_running_time(6, 4)
     max_running_time_sampled(8, 4, 5000, 1)
     assert (_rule(6, 4), _rule(8, 4)) == before
+
+
+@pytest.mark.parametrize("n, r", [(3, 3), (6, 3), (6, 4), (7, 5), (8, 6)])
+def test_the_cached_rule_holds_its_closers_in_tuples(n, r):
+    rests = [rest for _, closers in _rule(n, r) for _, rest in closers]
+    assert all(type(rest) is tuple for rest in rests)
+    if r == 3:
+        assert all(rest == () for rest in rests)
 
 
 def test_sampled_kernel_scans_count_every_step_and_the_last_scan():
