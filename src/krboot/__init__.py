@@ -12,7 +12,6 @@ from .constructions import (
     build_chain,
     build_h6,
     build_hB,
-    build_hb,
     build_hprime,
     minimal_percolating,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "build_chain",
     "build_h6",
     "build_hB",
-    "build_hb",
     "build_hprime",
     "check_ap_free",
     "check_induced_free",

@@ -4,12 +4,17 @@ Each scaffold is an ordered r-uniform hypergraph whose consecutive edges
 overlap in a designated pair f_i.  Deleting those pairs from the 2-skeleton
 gives a start graph that the K_r process must repair one pair per step, so the
 edge count of the scaffold is a lower bound on the running time.
+
+Every scaffold is one or more affine walks over labelled vertex blocks: each
+of a walk's slots gives hyperedge t one vertex of a block, at an index affine
+in t, and hyperedge t's designated pair is two of its slots.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .apsets import ApSet
 from .graphs import Graph, UniformHypergraph, cone, two_skeleton
@@ -54,9 +59,67 @@ def _minus_pairs(g: Graph, f_pairs: list[tuple[int, int]]) -> Graph:
     return g
 
 
-def _assemble(
-    h: UniformHypergraph, f_pairs: list[tuple[int, int]], meta: dict
-) -> ConstructionOutput:
+# ---------------------------------------------------------------- affine walks
+
+
+Labels = dict[int, tuple[str, int]]
+Slot = tuple[list[int], int, int]  # (ids, a, c)
+Walk = tuple[Iterator[tuple[int, ...]], list[tuple[int, int]]]  # hyperedges, pairs
+
+
+def _block(labels: Labels, cls: str, size: int, first: int = 0) -> list[int]:
+    """The ids of ``size`` new vertices, numbered on from those ``labels``
+    holds, which labels them (cls, first), (cls, first + 1), ..."""
+    ids = list(range(len(labels), len(labels) + size))
+    for i, v in enumerate(ids, first):
+        labels[v] = (cls, i)
+    return ids
+
+
+def _affine_walk(slots: list[Slot], pair: tuple[int, int], ts: range) -> Walk:
+    """The hyperedges of one affine walk, steps ``ts``, and their designated pairs.
+
+    Slot ``(ids, a, c)`` gives hyperedge t the vertex ``ids[(a*t + c) % len(ids)]``,
+    and its pair is the vertices of its two slots ``pair``, ascending.  The
+    hyperedges come as an iterator in slot order, the pairs as a list.  Every
+    id is taken from a block's list, so each vertex is one int object however
+    many hyperedges and pairs hold it.
+    """
+    cols = []
+    for ids, a, c in slots:
+        size = len(ids)
+        # the index repeats with period len(ids) in t: one period, cycled
+        period = [ids[(a * t + c) % size] for t in ts[:size]]
+        cols.append(list(itertools.islice(itertools.cycle(period), len(ts))))
+    i, j = pair
+    pairs = [(u, v) if u < v else (v, u) for u, v in zip(cols[i], cols[j])]
+    # a generator, not the bare zip: once it is drained, the columns go
+    return (e for e in zip(*cols)), pairs
+
+
+def _chain_walk(ids: list[int], ts: range) -> Walk:
+    """5-edges ids[3t : 3t + 5], each handing its last two ids to the next."""
+    return _affine_walk([(ids, 3, c) for c in range(5)], (3, 4), ts)
+
+
+def _slope_walk(xyz: list[list[int]], b: int, ts: range) -> Walk:
+    """Slope-b 5-edges (x_i, x_{i+1}, y_{i+b}, z_{i+2b}, z_{i+2b+1}), i in ``ts``;
+    consecutive ones share {x_{i+1}, z_{i+2b+1}}."""
+    x, y, z = xyz
+    slots = [(x, 1, 0), (x, 1, 1), (y, 1, b), (z, 1, 2 * b), (z, 1, 2 * b + 1)]
+    return _affine_walk(slots, (1, 4), ts)
+
+
+def _hypergraph(r: int, walks: list[Walk], labels: Labels) -> UniformHypergraph:
+    """The walks' hyperedges, one walk after another, on the labelled blocks."""
+    edges = itertools.chain.from_iterable(e for e, _ in walks)
+    return UniformHypergraph(len(labels), r, edges, labels)
+
+
+def _assemble(r: int, walks: list[Walk], labels: Labels, meta: dict) -> ConstructionOutput:
+    """The walks' hypergraph, their pairs in the same order, and the start."""
+    h = _hypergraph(r, walks, labels)
+    f_pairs = [f for _, pairs in walks for f in pairs]
     if len(f_pairs) != len(h.edges):
         raise IntegrityError("need exactly one designated pair per hyperedge")
     if len(set(h.edges)) != len(h.edges):
@@ -79,84 +142,27 @@ def build_h6(n: int) -> ConstructionOutput:
     """
     if n < 10:
         raise ValueError("need n >= 10")
+    labels: Labels = {}
     ell = n + 20
-    x0, z0, y0, w0 = 0, n, n + ell, 2 * n + ell
-    nv = 2 * n + 2 * ell
+    blocks = (("X", n), ("Z", ell), ("Y", n), ("W", ell))
+    x, z, y, w = (_block(labels, cls, size) for cls, size in blocks)
     m = n * n // 100
-
-    labels: dict[int, tuple[str, int]] = {}
-    for i in range(n):
-        labels[x0 + i] = ("X", i)
-        labels[y0 + i] = ("Y", i)
-    for i in range(ell):
-        labels[z0 + i] = ("Z", i)
-        labels[w0 + i] = ("W", i)
-
-    edges = []
-    f_pairs = []
-    for t in range(m):
-        edges.append(
-            (
-                x0 + t % n,
-                x0 + (t + 1) % n,
-                y0 + (t + 1) % n,
-                z0 + t % ell,
-                z0 + (t + 1) % ell,
-                w0 + (t + 1) % ell,
-            )
-        )
-        u, v = x0 + (t + 1) % n, z0 + (t + 1) % ell
-        f_pairs.append((u, v) if u < v else (v, u))
-
-    h = UniformHypergraph(nv, 6, edges, labels)
-    return _assemble(h, f_pairs, {"family": "h6", "n": n, "m": m})
+    slots = [(x, 1, 0), (x, 1, 1), (y, 1, 1), (z, 1, 0), (z, 1, 1), (w, 1, 1)]
+    walk = _affine_walk(slots, (1, 4), range(m))
+    return _assemble(6, [walk], labels, {"family": "h6", "n": n, "m": m})
 
 
 # ---------------------------------------------------------------- 5-uniform
 
 
 def build_chain(m: int) -> ConstructionOutput:
-    """Path of m 5-edges on 3m + 2 vertices, consecutive edges sharing a pair."""
+    """Path of m 5-edges on 3m + 2 vertices, consecutive edges sharing a pair;
+    the last edge hands off its far end."""
     if m < 1:
         raise ValueError("need at least one edge")
-    nv = 3 * m + 2
-    edges = [tuple(range(3 * i, 3 * i + 5)) for i in range(m)]
-    f_pairs = [(3 * i + 3, 3 * i + 4) for i in range(m - 1)]
-    f_pairs.append((3 * m, 3 * m + 1))  # last edge hands off its far end
-    labels = {v: ("W", v + 1) for v in range(nv)}
-    h = UniformHypergraph(nv, 5, edges, labels)
-    return _assemble(h, f_pairs, {"family": "chain", "m": m})
-
-
-def _xyz_ids(n: int):
-    # blocks x_0..x_n, y_0..y_n, z_0..z_n
-    return 0, n + 1, 2 * n + 2
-
-
-def _hb_edges(n: int, b: int, s: int, l: int) -> list[tuple[int, ...]]:
-    """Slope-b chain edges i = s .. l-1; the full chain is s=0, l=n-2b."""
-    x0, y0, z0 = _xyz_ids(n)
-    return [
-        (x0 + i, x0 + i + 1, y0 + i + b, z0 + i + 2 * b, z0 + i + 2 * b + 1)
-        for i in range(s, l)
-    ]
-
-
-def _xyz_labels(n: int) -> dict[int, tuple[str, int]]:
-    x0, y0, z0 = _xyz_ids(n)
-    labels = {}
-    for i in range(n + 1):
-        labels[x0 + i] = ("X", i)
-        labels[y0 + i] = ("Y", i)
-        labels[z0 + i] = ("Z", i)
-    return labels
-
-
-def build_hb(n: int, b: int) -> UniformHypergraph:
-    """Single slope-b chain of 5-edges on the x/y/z blocks (3n + 3 vertices)."""
-    if b < 1:
-        raise ValueError("need b >= 1")
-    return build_hB(n, ApSet(b, (b,)))
+    labels: Labels = {}
+    walk = _chain_walk(_block(labels, "W", 3 * m + 2, first=1), range(m))
+    return _assemble(5, [walk], labels, {"family": "chain", "m": m})
 
 
 def check_hB_slopes(n: int, B: ApSet) -> None:
@@ -169,12 +175,12 @@ def check_hB_slopes(n: int, B: ApSet) -> None:
 def build_hB(n: int, B: ApSet) -> UniformHypergraph:
     """Union of slope-b chains for every b in B, grouped by ascending slope."""
     check_hB_slopes(n, B)
-    edges: list[tuple[int, ...]] = []
-    for b in B.elements:
-        edges.extend(_hb_edges(n, b, 0, n - 2 * b))
-    if len(set(edges)) != len(edges):
+    labels: Labels = {}
+    xyz = [_block(labels, cls, n + 1) for cls in "XYZ"]  # x_0..x_n, y_0..y_n, z_0..z_n
+    h = _hypergraph(5, [_slope_walk(xyz, b, range(n - 2 * b)) for b in B.elements], labels)
+    if len(set(h.edges)) != len(h.edges):
         raise IntegrityError("slope chains must not share edges")
-    return UniformHypergraph(3 * n + 3, 5, edges, _xyz_labels(n))
+    return h
 
 
 def check_hprime_slopes(n: int, B: ApSet) -> None:
@@ -199,13 +205,16 @@ def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
     Requires B = 10 * B' with B' 3-AP-free and B inside [1, n/4].  Each chain
     after the first is trimmed so that its two handoff pairs {x_s, z_{s+2b}}
     and {x_l, z_{l+2b}} avoid every handoff pair used so far; a connector of
-    three 5-edges on 7 fresh vertices then links consecutive chains.
+    three 5-edges on 7 fresh vertices then links consecutive chains.  Each
+    chain's last pair is its far handoff, which is the connector's (or, for
+    the last chain, the scaffold's) first pair.
     """
     check_hprime_slopes(n, B)
-    x0, _, z0 = _xyz_ids(n)
+    labels: Labels = {}
+    xyz = x, _, z = [_block(labels, cls, n + 1) for cls in "XYZ"]
 
-    def handoff(idx: int, b: int) -> tuple[int, int]:
-        return (x0 + idx, z0 + idx + 2 * b)
+    def handoff(idx: int, b: int) -> list[int]:
+        return [x[idx], z[idx + 2 * b]]
 
     used: set[int] = set()  # vertices already serving as handoff endpoints
     chains: list[tuple[int, int, int]] = []  # (b, s, l)
@@ -214,59 +223,28 @@ def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
         if j == 0:
             s, l = 0, hi
         else:
-            s = next((i for i in range(hi + 1) if not used & set(handoff(i, b))), None)
-            l = next(
-                (i for i in range(hi, -1, -1) if not used & set(handoff(i, b))), None
-            )
+            s = next((i for i in range(hi + 1) if used.isdisjoint(handoff(i, b))), None)
+            l = next((i for i in range(hi, -1, -1) if used.isdisjoint(handoff(i, b))), None)
             if s is None or l is None or l - s < 1:
                 warnings.warn(f"no room to place slope {b}; skipping it")
                 continue
-        used |= set(handoff(s, b)) | set(handoff(l, b))
+        used.update(handoff(s, b) + handoff(l, b))
         chains.append((b, s, l))
 
-    gadgets = len(chains) - 1
-    nv = 3 * n + 3 + 7 * gadgets
-    labels = _xyz_labels(n)
-    for g in range(gadgets):
-        for i in range(7):
-            labels[3 * n + 3 + 7 * g + i] = (f"U{g + 1}", i)
+    walks: list[Walk] = []
+    for g, (b, s, l) in enumerate(chains):
+        walks.append(_slope_walk(xyz, b, range(s, l)))
+        if g + 1 < len(chains):
+            nb, ns, _ = chains[g + 1]
+            u = _block(labels, f"U{g + 1}", 7)
+            walks.append(_chain_walk(handoff(l, b) + u + handoff(ns, nb), range(3)))
 
-    edges: list[tuple[int, ...]] = []
-    for idx, (b, s, l) in enumerate(chains):
-        edges.extend(_hb_edges(n, b, s, l))
-        if idx < gadgets:
-            nb, ns, _ = chains[idx + 1]
-            u_base = 3 * n + 3 + 7 * idx
-            w = [
-                *handoff(l, b),
-                *range(u_base, u_base + 7),
-                *handoff(ns, nb),
-            ]
-            edges.append(tuple(w[0:5]))
-            edges.append(tuple(w[3:8]))
-            edges.append(tuple(w[6:11]))
-
-    # designated pairs: consecutive overlaps, then the last chain's far handoff
-    f_pairs: list[tuple[int, int]] = []
-    for e1, e2 in zip(edges, edges[1:]):
-        shared = sorted(set(e1) & set(e2))
-        if len(shared) != 2:
-            raise IntegrityError(
-                f"consecutive edges must share exactly a pair, got {shared}"
-            )
-        f_pairs.append((shared[0], shared[1]))
-    fb, fs, fl = chains[-1]
-    last = handoff(fl, fb)
-    f_pairs.append((min(last), max(last)))
-
-    m = len(edges)
+    m = sum(len(pairs) for _, pairs in walks)
     size = len(B.elements)
     if m < n * size / 2 - 8 * size * size:
         raise IntegrityError("edge count fell below the guaranteed floor")
-    if nv > 3 * n + 3 + 7 * (size - 1):
+    if len(labels) > 3 * n + 3 + 7 * (size - 1):
         raise IntegrityError("too many connector blocks")
-
-    h = UniformHypergraph(nv, 5, edges, labels)
     meta = {
         "family": "hprime",
         "n": n,
@@ -274,7 +252,7 @@ def build_hprime(n: int, B: ApSet) -> ConstructionOutput:
         "chains": [{"b": b, "s": s, "l": l} for b, s, l in chains],
         "m": m,
     }
-    return _assemble(h, f_pairs, meta)
+    return _assemble(5, walks, labels, meta)
 
 
 # ---------------------------------------------------------------- dense seed

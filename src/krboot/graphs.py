@@ -78,13 +78,15 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as (u, v) with u < v, ascending lexicographic order."""
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            while row:
-                low = row & -row
-                yield (u, u + low.bit_length())
-                row ^= low
+        """All edges as (u, v) with u < v, ascending lexicographic order.
+
+        Each row's bits above u are taken top-down by ``iter_bits`` and
+        given out in reverse.
+        """
+        for u, row in enumerate(self.adj):
+            above = [u + 1 + v for v in iter_bits(row >> (u + 1))]
+            for v in reversed(above):
+                yield (u, v)
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         if self.n != other.n:

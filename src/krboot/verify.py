@@ -46,7 +46,8 @@ def check_induced_free(
     hyperedge, with equality iff no other r-set is near-complete, which is
     the pass.
 
-    Only a count above that runs the triple walk, and its failing triples
+    Only a count above that builds the set of hyperedges (a pass needs only
+    their number) and runs the triple walk, and its failing triples
     are sorted into the sweep's order: over vertex pairs in ascending order,
     each pair's common-neighbourhood cliques in lexicographic order.  The
     witness is the candidate of the least failing triple, and ``verbose``
@@ -62,16 +63,17 @@ def check_induced_free(
     if r < 3:
         raise ValueError("need r >= 3")
     n = h.n
+    distinct = len(set(h.edges))
     skel = two_skeleton(h)
-    edge_sets = set(h.edges)
     cliques = candidates = 0
     for _, common in near_cliques(skel.adj, r - 2):
         cliques += 1
         c = common.bit_count()
         candidates += c * (c - 1) // 2
     stats = {"pairs": n * (n - 1) // 2, "cliques": cliques, "candidates": candidates}
-    if candidates == len(edge_sets) * (r * (r - 1) // 2):
+    if candidates == distinct * (r * (r - 1) // 2):
         return VerificationReport(True, None, None, stats)
+    edge_sets = set(h.edges)
     bad: list[tuple[int, int, tuple[int, ...]]] = []
     for clique, common in near_cliques(skel.adj, r - 2):
         for v in iter_bits(common):

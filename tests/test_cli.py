@@ -91,6 +91,16 @@ CONSTRUCT_GOLDEN = {
             "start.txt": "518dcb7f2f0563774534157e9eed3a0cccd9c191f97fb835cd18de3d3723f305",
         },
     ),
+    "h6_wrap": (  # m = 400 steps wrap both index rings, of lengths 200 and 220
+        ["--family", "h6", "--n", "200"],
+        "vertices=840 hyperedges=400 skeleton_edges=4461 start_edges=4061",
+        {
+            "fpairs.txt": "4e0060b0516794d727454b66532b7defc595bca8c69b95ef1844e77d2bfab7ff",
+            "hypergraph.txt": "0745e54c6fe75412bd889e0580de92511eadfa29aae52d0d1a0235e29a342be1",
+            "skeleton.txt": "ed8c8875863196512910f346daeb2d1fc079f0305eee64053e63e06666904cd9",
+            "start.txt": "9ee4b429628437c9dcc6e514c6b42f6ced05e1043f529f662e2ef3439b4e418c",
+        },
+    ),
     "chain": (
         ["--family", "chain", "--n", "3"],
         "vertices=11 hyperedges=3 skeleton_edges=28 start_edges=25",

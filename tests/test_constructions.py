@@ -11,7 +11,6 @@ from krboot.constructions import (
     build_chain,
     build_h6,
     build_hB,
-    build_hb,
     build_hprime,
     minimal_percolating,
 )
@@ -132,8 +131,23 @@ def test_chain_overlap_pattern():
 # ---------------------------------------------------------------- hb / hB
 
 
+def one_slope(n: int, b: int):
+    """hB with the one slope b: the paper's H_b."""
+    return build_hB(n, ApSet(b, (b,)))
+
+
+def paper_hb_edges(h, b: int) -> list[tuple[int, ...]]:
+    """H_b's edges by the paper's definition, i = 0 .. n - 2b - 1, as ids of ``h``."""
+    ids = {tag: v for v, tag in h.labels.items()}
+    n = h.n // 3 - 1
+    tags = [("X", 0), ("X", 1), ("Y", b), ("Z", 2 * b), ("Z", 2 * b + 1)]
+    return [
+        tuple(sorted(ids[cls, i + off] for cls, off in tags)) for i in range(n - 2 * b)
+    ]
+
+
 def test_hb_first_and_last_edges():
-    h = build_hb(100, 10)
+    h = one_slope(100, 10)
     assert h.n == 303 and len(h.edges) == 80
     ids = {(cls, i): v for v, (cls, i) in [(v, h.labels[v]) for v in h.labels]}
     first = (ids["X", 0], ids["X", 1], ids["Y", 10], ids["Z", 20], ids["Z", 21])
@@ -143,7 +157,7 @@ def test_hb_first_and_last_edges():
 
 
 def test_hb_consecutive_edges_share_designated_pair():
-    h = build_hb(60, 7)
+    h = one_slope(60, 7)
     sets = [set(e) for e in h.edges]
     for i in range(len(sets) - 1):
         shared = sets[i] & sets[i + 1]
@@ -153,21 +167,22 @@ def test_hb_consecutive_edges_share_designated_pair():
 
 def test_hb_bounds():
     with pytest.raises(ValueError):
-        build_hb(10, 0)
+        one_slope(10, 0)
     with pytest.raises(ValueError):
-        build_hb(10, 5)  # n - 2b - 1 < 0
-    assert len(build_hb(11, 5).edges) == 1
+        one_slope(10, 5)  # n - 2b - 1 < 0
+    assert len(one_slope(11, 5).edges) == 1
 
 
 def test_hB_single_slope_matches_hb():
-    assert build_hB(100, ApSet(10, (10,))).edges == build_hb(100, 10).edges
+    h = build_hB(100, ApSet(10, (10,)))
+    assert h.edges == paper_hb_edges(h, 10)
 
 
 def test_hB_unions_slopes_in_ascending_groups():
     h = build_hB(100, ApSet(20, (10, 20)))
     assert len(h.edges) == 80 + 60
-    assert h.edges[:80] == build_hb(100, 10).edges
-    assert h.edges[80:] == build_hb(100, 20).edges
+    assert h.edges[:80] == one_slope(100, 10).edges
+    assert h.edges[80:] == one_slope(100, 20).edges
     assert len(set(h.edges)) == 140
 
 
@@ -178,19 +193,19 @@ def test_hB_rejects_out_of_range_slope():
 
 @pytest.mark.parametrize("n", [8, 9, 20, 21])
 def test_hb_and_hB_accept_the_same_slopes(n):
-    # the steepest chain's one edge (x0, x0+1, y0+b, z0+2b, z0+2b+1) fits
-    # whenever n - 2b >= 1, for odd and even n alike
+    # H_b exists when its steepest edge (x0, x0+1, y0+b, z0+2b, z0+2b+1) fits,
+    # that is when n - 2b >= 1, for odd and even n alike; hB accepts exactly
+    # those slopes and builds H_b from them
     accepted = []
     for b in range(1, n + 1):
         try:
-            h = build_hb(n, b)
-        except ValueError:
-            with pytest.raises(ValueError, match=f"slope {b} outside"):
-                build_hB(n, ApSet(b, (b,)))
+            h = build_hB(n, ApSet(b, (b,)))
+        except ValueError as exc:
+            assert str(exc).startswith(f"slope {b} outside")
             continue
-        assert build_hB(n, ApSet(b, (b,))).edges == h.edges
+        assert h.edges == paper_hb_edges(h, b)
         accepted.append(b)
-    assert accepted == list(range(1, (n - 1) // 2 + 1))
+    assert accepted == [b for b in range(1, n + 1) if n - 2 * b >= 1]
 
 
 # ---------------------------------------------------------------- hprime
@@ -208,7 +223,7 @@ def test_hprime_worked_example():
 
 def test_hprime_single_slope_is_whole_chain_plus_far_handoff():
     c = build_hprime(80, ApSet(10, (10,)))
-    assert c.hypergraph.edges == build_hb(80, 10).edges
+    assert c.hypergraph.edges == one_slope(80, 10).edges
     h = c.hypergraph
     last = c.f_pairs[-1]
     assert {h.labels[v] for v in last} == {("X", 60), ("Z", 80)}
@@ -230,11 +245,29 @@ def test_hprime_connector_uses_seven_fresh_vertices():
     }
 
 
-def test_hprime_consecutive_edges_share_exactly_a_pair():
-    c = build_hprime(200, ApSet(20, (10, 20)))
+WALKS = {
+    "h6": lambda: build_h6(200),  # both index rings wrap
+    "chain": lambda: build_chain(5),
+    "hprime": lambda: build_hprime(200, ApSet(20, (10, 20))),
+}
+
+
+@pytest.mark.parametrize("family", list(WALKS))
+def test_consecutive_edges_share_exactly_a_pair(family):
+    c = WALKS[family]()
     edges = [set(e) for e in c.hypergraph.edges]
     for i, f in enumerate(c.f_pairs[:-1]):
         assert set(f) == edges[i] & edges[i + 1]
+
+
+@pytest.mark.parametrize("family", ["h6", "hprime"])
+def test_each_vertex_is_one_int_object(family):
+    # ids come from the block lists, not computed per edge, so the edges and
+    # pairs hold at most one object per vertex, also past the small-int cache
+    c = WALKS[family]()
+    h = c.hypergraph
+    assert h.n > 256
+    assert len({id(v) for e in [*h.edges, *c.f_pairs] for v in e}) <= h.n
 
 
 def test_hprime_edge_floor():
@@ -254,6 +287,15 @@ def test_hprime_input_validation():
         build_hprime(400, ApSet(30, (10, 20, 30)))  # B/10 = {1,2,3} has an AP
     with pytest.raises(ValueError):
         build_hprime(100, ApSet(10, ()))
+
+
+def test_star_import_resolves_every_exported_name():
+    import krboot
+
+    namespace: dict = {}
+    exec("from krboot import *", namespace)
+    assert set(krboot.__all__) <= namespace.keys()
+    assert "build_hb" not in krboot.__all__
 
 
 def test_families_that_read_slopes_check_them():

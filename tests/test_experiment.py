@@ -153,7 +153,7 @@ def test_compute_row_chain():
     assert row["family"] == "chain" and row["n"] == "3"
     assert row["m"] == "3" and row["vertices"] == "11"
     assert row["cond_i"] == "true" and row["cond_ii"] == "true"
-    assert int(row["steps"]) >= 3
+    assert int(row["steps"]) >= 3 and row["certified"] == "true"
     assert row["B_size"] == ""  # not applicable
     assert _row_invariant_ok(row)
 
@@ -164,6 +164,7 @@ def test_compute_row_h6():
     assert row["m"] == "4" and row["vertices"] == "120"
     assert row["steps"] == "4" and row["percolated"] == "false"
     assert row["cond_i"] == "true" and row["cond_ii"] == "true"
+    assert row["certified"] == "true"
 
 
 def test_compute_row_hb_checks_structure_only():
@@ -171,7 +172,7 @@ def test_compute_row_hb_checks_structure_only():
     cfg = ExperimentConfig(family="hB", ns=[100], r=5, output="o.csv", B=[10])
     row = compute_row(cfg, 100)
     assert row["m"] == "80" and row["cond_i"] == "true"
-    assert row["steps"] == "" and row["percolated"] == ""
+    assert row["steps"] == "" and row["percolated"] == "" and row["certified"] == ""
 
 
 def test_compute_row_hprime_with_explicit_slopes():
@@ -181,7 +182,7 @@ def test_compute_row_hprime_with_explicit_slopes():
     row = compute_row(cfg, 100, ApSet(20, (10, 20)))
     assert row["B_size"] == "2" and row["m"] == "141"
     assert row["cond_i"] == "true" and row["cond_ii"] == "true"
-    assert int(row["steps"]) >= 141
+    assert int(row["steps"]) >= 141 and row["certified"] == "true"
 
 
 def test_compute_row_minimal_and_cone(tmp_path):
@@ -233,6 +234,10 @@ def test_compute_row_cells_are_the_built_parts(tmp_path, monkeypatch, family):
         want["start_edges"] = str(c.start.edge_count())
         want["steps"] = str(trace.running_time)
         want["percolated"] = str(trace.percolated).lower()
+    want["certified"] = ""
+    if c.f_pairs is not None:
+        one_pair_steps = trace.steps[: len(c.f_pairs)] == [[f] for f in c.f_pairs]
+        want["certified"] = str(one_pair_steps).lower()
     assert {cell: row[cell] for cell in want} == want
     assert (row["family"], row["n"], row["r"]) == (family, str(n), str(r))
     # each stage that ran has its time, and only those
@@ -265,12 +270,33 @@ def test_compute_row_drops_the_scaffold_before_run(monkeypatch):
 
 def test_row_invariant_flags_short_runs():
     row = {k: "" for k in CSV_FIELDS}
-    row.update(cond_i="true", cond_ii="true", steps="3", m="5")
+    row.update(cond_i="true", cond_ii="true", steps="3", m="5", certified="false")
     assert not _row_invariant_ok(row)
-    row.update(steps="5")
+    row.update(steps="5", certified="true")
     assert _row_invariant_ok(row)
+    row.update(certified="false")
+    assert not _row_invariant_ok(row)  # m steps, but not the designated pairs
     row.update(cond_i="false", steps="0")
     assert _row_invariant_ok(row)  # invariant only binds when both checks pass
+
+
+def test_run_experiment_flags_a_replay_that_swaps_two_pairs(tmp_path, monkeypatch):
+    # a replay with m steps that adds two designated pairs out of order passes
+    # the step count but not the certificate
+    def swapped(*args, **kwargs):
+        trace = run(*args, **kwargs)
+        trace.steps[0], trace.steps[1] = trace.steps[1], trace.steps[0]
+        return trace
+
+    monkeypatch.setattr(experiment.engine, "run", swapped)
+    out = tmp_path / "rows.csv"
+    cfg = ExperimentConfig(family="chain", ns=[3], r=5, output=str(out))
+    (row,) = run_experiment(cfg)
+    assert row["cond_i"] == row["cond_ii"] == "true"
+    assert row["steps"] == row["m"] == "3" and row["certified"] == "false"
+    assert read_rows(out)[0]["certified"] == "false"
+    log = (out.parent / (out.name + ".errors.log")).read_text()
+    assert log == "point n=3: cond (i) and (ii) hold, but steps 3 for m 3, certified false\n"
 
 
 def read_rows(path):
@@ -408,9 +434,11 @@ def test_point_cells_leave_unused_settings_blank():
 
 def test_run_experiment_refuses_the_old_header(tmp_path):
     # a header missing the B and max_steps columns, or the input column, or
-    # with the one wall_ms column in place of the four stage times
+    # the certified column, or with the one wall_ms column in place of the
+    # four stage times
     headers = [
-        [f for f in CSV_FIELDS if f not in dropped] for dropped in (("B", "max_steps"), ("input",))
+        [f for f in CSV_FIELDS if f not in dropped]
+        for dropped in (("B", "max_steps"), ("input",), ("certified",))
     ]
     headers.append([f for f in CSV_FIELDS if not f.endswith("_ms")] + ["wall_ms"])
     for header in headers:
