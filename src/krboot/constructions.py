@@ -49,13 +49,16 @@ class ConstructionOutput:
 
 def _minus_pairs(g: Graph, f_pairs: list[tuple[int, int]]) -> Graph:
     """Remove ``f_pairs`` from ``g`` in place and return ``g``; every pair
-    must still be an edge when its turn comes."""
+    must still be an edge when its turn comes.  Each pair is checked once,
+    by ``has_edge``, and its two bits are then cleared in the rows."""
+    adj = g.adj
     for u, v in f_pairs:
         if not g.has_edge(u, v):
             raise IntegrityError(
                 f"designated pair ({u}, {v}) is not a (remaining) skeleton edge"
             )
-        g.remove_edge(u, v)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
     return g
 
 

@@ -49,10 +49,73 @@ from __future__ import annotations
 
 import itertools
 import json
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import Graph, OverBudget, has_clique_rows, iter_bits, near_cliques
+
+
+class Batches(Sequence):
+    """A trace's batches, stored flat and read-only.
+
+    ``ends`` (``array('i')``) holds every pair's endpoints in order, u0, v0,
+    u1, v1, ...; ``offsets`` (``array('q')``) holds the batch boundaries
+    counted in pairs, so batch t is pairs ``offsets[t]`` up to
+    ``offsets[t + 1]``, and ``offsets[0]`` is 0.  A one-pair step costs 16
+    bytes, where a list of tuples costs about 189.  Reading batch t builds it
+    as a list of (u, v) tuples, so a batch reads, prints and compares as a
+    list does; the whole sequence compares equal to another trace's batches
+    and to a list of such lists.
+    """
+
+    __slots__ = ("ends", "offsets")
+
+    def __init__(self, batches: Iterable[list[tuple[int, int]]] = ()):
+        self.ends = array("i")
+        self.offsets = array("q", [0])
+        for batch in batches:
+            self._add(batch)
+
+    def _add(self, batch: list[tuple[int, int]]) -> None:
+        """Append one batch.  Only a trace's builders call this (``run``,
+        ``from_json`` and ``__init__``); a built trace is not changed."""
+        k = len(batch)
+        if k == 1:  # a scaffold's replay step: extend is 2x faster than the pack
+            self.ends.extend(batch[0])
+        else:
+            self.ends.frombytes(struct.pack(f"{2 * k}i", *itertools.chain.from_iterable(batch)))
+        self.offsets.append(self.offsets[-1] + k)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return Batches(self[i] for i in range(len(self))[t])
+        t = range(len(self))[t]  # negative indexes, and IndexError past the end
+        return self._pairs(self.offsets[t], self.offsets[t + 1])
+
+    def __iter__(self):
+        offsets = self.offsets
+        for a, b in zip(offsets, itertools.islice(offsets, 1, None)):
+            yield self._pairs(a, b)
+
+    def _pairs(self, a: int, b: int) -> list[tuple[int, int]]:
+        it = iter(self.ends[2 * a : 2 * b])
+        return list(zip(it, it))
+
+    def __eq__(self, other):
+        if isinstance(other, Batches):
+            return self.offsets == other.offsets and self.ends == other.ends
+        if isinstance(other, list):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Batches({list(self)!r})"
 
 
 @dataclass
@@ -60,31 +123,53 @@ class PercolationTrace:
     """Full record of one bootstrap run.
 
     ``steps[t]`` is the batch of edges added at step t+1, each batch sorted by
-    (u, v).  ``running_time`` equals the number of non-empty batches; when
-    ``truncated`` is True the run hit ``max_steps`` first and the true running
-    time is at least that value.  ``percolated`` means the final graph equals
-    the host.
+    (u, v).  ``steps`` is a read-only ``Batches``; a list of batches given to
+    the constructor is converted to one.  ``running_time`` equals the number
+    of non-empty batches; when ``truncated`` is True the run hit ``max_steps``
+    first and the true running time is at least that value.  ``percolated``
+    means the final graph equals the host.
     """
 
-    steps: list[list[tuple[int, int]]] = field(default_factory=list)
+    steps: Batches = field(default_factory=Batches)
     running_time: int = 0
     percolated: bool = False
     truncated: bool = False
     final_edge_count: int = 0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.steps, Batches):
+            self.steps = Batches(self.steps)
+
     def to_json(self) -> str:
-        # a trace holds no cycles, so the encoder need not track the lists it is in
-        fields = {key: getattr(self, key) for key in (*_SCALARS, "steps")}
-        return json.dumps(fields, check_circular=False)
+        """One JSON object: the scalars, then ``steps`` as a list of batches of
+        [u, v] pairs, each batch written by one ``%`` format over its slice of
+        ``ends``.  The bytes are those of ``json.dumps`` on the nested lists."""
+        head = json.dumps({key: getattr(self, key) for key in _SCALARS})
+        ends, offsets = self.steps.ends, self.steps.offsets
+        body = ", ".join(
+            f"[{', '.join(['[%d, %d]'] * (b - a))}]" % tuple(ends[2 * a : 2 * b])
+            for a, b in zip(offsets, itertools.islice(offsets, 1, None))
+        )
+        return f'{head[:-1]}, "steps": [{body}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "PercolationTrace":
         """Read back what ``to_json`` writes, and only that: the flags are JSON
         booleans, the counts integers, ``running_time`` is the number of
-        batches, and each batch is a non-empty ascending list of pairs u < v.
-        A field of another type or shape raises ValueError or TypeError."""
+        batches, and each batch is a non-empty ascending list of pairs
+        0 <= u < v < 2**31.  A field of another type or shape raises
+        ValueError or TypeError."""
         obj = json.loads(text)
-        steps = [_batch(batch) for batch in obj["steps"]]
+        loaded = obj["steps"]
+        if type(loaded) is not list:
+            raise ValueError("steps must be a JSON array")
+        steps = Batches()
+        for t, batch in enumerate(loaded):
+            loaded[t] = None  # each loaded batch goes once it is stored
+            try:
+                steps._add(_batch(batch))
+            except (OverflowError, struct.error):
+                raise ValueError(f"batch {t} has a vertex past 2**31 - 1") from None
         trace = cls(steps, **{key: obj[key] for key in _SCALARS})
         for key, kind in _SCALARS.items():
             if type(getattr(trace, key)) is not kind:
@@ -98,7 +183,6 @@ class PercolationTrace:
 
 # the trace fields besides ``steps``, with their JSON types
 _SCALARS = {"running_time": int, "percolated": bool, "truncated": bool, "final_edge_count": int}
-
 
 def _batch(pairs: list) -> list[tuple[int, int]]:
     """One batch of a trace file as ``run`` writes it, or ValueError."""
@@ -321,7 +405,7 @@ def run(
     adj = start.adj.copy()
     host_edges = host.edge_count()
     missing = host_edges - start.edge_count()
-    steps: list[list[tuple[int, int]]] = []
+    steps = Batches()
     batch = start_scan(adj, host.adj, r, missing)
     truncated = False
     # an empty batch means stabilized; never truncated, even at the exact budget
@@ -333,7 +417,7 @@ def run(
         for u, v in batch:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        steps.append(batch)
+        steps._add(batch)
         missing -= len(batch)
         batch = eligible_after(adj, host.adj, r, batch, missing)
 
@@ -350,9 +434,9 @@ def run(
 def replay(start: Graph, trace: PercolationTrace) -> Graph:
     """Apply a trace's batches to a copy of ``start`` and return the result."""
     g = start.copy()
-    for batch in trace.steps:
-        for u, v in batch:
-            g.add_edge(u, v)
+    it = iter(trace.steps.ends)
+    for u, v in zip(it, it):
+        g.add_edge(u, v)
     return g
 
 

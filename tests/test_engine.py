@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import random
 from unittest import mock
 
@@ -13,6 +14,7 @@ from krboot import engine
 from krboot.apsets import ApSet, ap_digits3
 from krboot.constructions import build_chain, build_h6, build_hprime, minimal_percolating
 from krboot.engine import (
+    Batches,
     PercolationTrace,
     eligible,
     eligible_after,
@@ -501,6 +503,64 @@ def test_trace_json_round_trip():
     again = PercolationTrace.from_json(t.to_json())
     assert again == t
     assert again.to_json() == t.to_json()
+
+
+def test_batches_read_as_a_list_of_tuple_lists():
+    lists = [[(0, 2), (1, 3)], [(0, 3)], [(4, 9), (5, 7), (6, 8)]]
+    steps = Batches(lists)
+    assert len(steps) == 3 and len(Batches()) == 0
+    assert steps[0] == [(0, 2), (1, 3)] and steps[-1] == lists[-1] and steps[-3] == lists[0]
+    with pytest.raises(IndexError):
+        steps[3]
+    with pytest.raises(IndexError):
+        steps[-4]
+    assert list(steps) == lists
+    assert [type(b) for b in steps] == [list] * 3
+    assert repr(steps[1]) == "[(0, 3)]"
+    assert steps[1:] == lists[1:] and steps[::2] == lists[::2] and steps[5:] == []
+    assert isinstance(steps[:2], Batches)
+    assert list(steps.ends) == [0, 2, 1, 3, 0, 3, 4, 9, 5, 7, 6, 8]
+    assert list(steps.offsets) == [0, 2, 3, 6]
+
+
+def test_batches_compare_both_ways():
+    lists = [[(0, 2), (1, 3)], [(0, 3)]]
+    steps = Batches(lists)
+    assert steps == lists and lists == steps
+    assert steps == Batches(lists) and not steps != Batches(lists)
+    for other in ([[(0, 2), (1, 3)]], [[(0, 2)], [(1, 3), (0, 3)]], [[(0, 2), (1, 3)], [(0, 4)]]):
+        assert steps != other and other != steps
+        assert steps != Batches(other)
+    # a batch reads as tuples, as a list trace's did; other sequences are not traces
+    assert steps != [[[0, 2], [1, 3]], [[0, 3]]] and steps != tuple(lists) and steps != "steps"
+    # the same pairs cut into other batches are another trace
+    assert Batches([[(0, 2)], [(1, 3)]]) != Batches([[(0, 2), (1, 3)]])
+
+
+def test_trace_steps_are_read_only_batches():
+    t = PercolationTrace(steps=[[(0, 1)]], running_time=1)
+    assert isinstance(t.steps, Batches) and isinstance(PercolationTrace().steps, Batches)
+    with pytest.raises(TypeError):
+        t.steps[0] = [(0, 2)]
+    assert PercolationTrace(steps=t.steps, running_time=1) == t
+
+
+def test_trace_json_is_json_dumps_of_the_nested_lists():
+    big = [[(u, v) for u in range(100) for v in range(1000, 1100)]]  # one 10^4-pair batch
+    for steps in ([], [[(0, 1)]], big, [[(0, 1)], *big, [(2, 2**31 - 1)]]):
+        t = PercolationTrace(steps=steps, running_time=len(steps), truncated=True)
+        fields = {"running_time": len(steps), "percolated": False, "truncated": True,
+                  "final_edge_count": 0, "steps": steps}
+        assert t.to_json() == json.dumps(fields)
+        assert PercolationTrace.from_json(t.to_json()) == t
+
+
+def test_run_holds_its_trace_in_two_flat_arrays():
+    c = build_h6(200)
+    t = run(c.start, 6, Graph.complete(c.hypergraph.n))
+    assert t.running_time == len(c.f_pairs) == 400
+    held = sum(a.buffer_info()[1] * a.itemsize for a in (t.steps.ends, t.steps.offsets))
+    assert held <= 24 * t.running_time
 
 
 def pinned_instance(name: str):

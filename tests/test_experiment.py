@@ -10,7 +10,7 @@ import pytest
 from krboot import experiment, fileio
 from krboot.apsets import ApSet
 from krboot.constructions import FAMILIES, build, minimal_percolating
-from krboot.engine import run
+from krboot.engine import PercolationTrace, run
 from krboot.experiment import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -285,8 +285,14 @@ def test_run_experiment_flags_a_replay_that_swaps_two_pairs(tmp_path, monkeypatc
     # the step count but not the certificate
     def swapped(*args, **kwargs):
         trace = run(*args, **kwargs)
-        trace.steps[0], trace.steps[1] = trace.steps[1], trace.steps[0]
-        return trace
+        s = trace.steps
+        return PercolationTrace(
+            steps=[s[1], s[0], *s[2:]],
+            running_time=trace.running_time,
+            percolated=trace.percolated,
+            truncated=trace.truncated,
+            final_edge_count=trace.final_edge_count,
+        )
 
     monkeypatch.setattr(experiment.engine, "run", swapped)
     out = tmp_path / "rows.csv"

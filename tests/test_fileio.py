@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import re
@@ -419,6 +420,14 @@ def test_a_malformed_line_is_named(name, data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(traces())
+def test_trace_json_is_json_dumps_of_the_nested_lists(trace):
+    fields = {key: getattr(trace, key) for key in
+              ("running_time", "percolated", "truncated", "final_edge_count")}
+    assert trace.to_json() == json.dumps({**fields, "steps": list(trace.steps)})
+
+
+@settings(max_examples=150, deadline=None)
 @given(traces(), st.data())
 def test_a_malformed_trace_is_named(trace, data):
     text = trace.to_json()
@@ -434,41 +443,75 @@ def test_a_malformed_trace_is_named(trace, data):
             fileio.read_trace(p)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"steps": []}',  # missing fields
-        "[1, 2]",  # not an object
-        '{"steps": [[[0, 1, 2]]], "running_time": 1, "percolated": true,'
-        ' "truncated": false, "final_edge_count": 3}',  # a pair of three
-        '{"steps": [], "running_time": "x", "percolated": true,'
-        ' "truncated": false, "final_edge_count": 3}',  # non-integer time
-        '{"steps": [], "running_time": 0, "percolated": "false",'
-        ' "truncated": false, "final_edge_count": 3}',  # a string flag
-        '{"steps": [], "running_time": 0, "percolated": false,'
-        ' "truncated": 0, "final_edge_count": 3}',  # an integer flag
-        '{"steps": [], "running_time": false, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # a boolean count
-        '{"steps": [], "running_time": 0, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3.0}',  # a float count
-        '{"steps": [], "running_time": 0, "percolated": false,'
-        ' "truncated": false, "final_edge_count": -1}',  # a negative count
-        '{"steps": [[[0.7, "2"]]], "running_time": 1, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # a pair of a float and a string
-        '{"steps": [[[2, 1]]], "running_time": 1, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # a pair written v u
-        '{"steps": [[[1, 2], [0, 3]]], "running_time": 1, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # a batch out of order
-        '{"steps": [[[0, 3], [0, 3]]], "running_time": 1, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # a pair twice
-        '{"steps": [[]], "running_time": 1, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # an empty batch
-        '{"steps": [[[0, 3]]], "running_time": 2, "percolated": false,'
-        ' "truncated": false, "final_edge_count": 3}',  # time is not the batch count
-    ],
-)
+# each malformed trace, and the reason that ``read_trace`` gives after "t.json:1: "
+BAD_TRACES = {
+    '{"steps": []}':  # missing fields
+    "trace has no 'running_time' field",
+    "[1, 2]":  # not an object
+    "malformed trace: list indices must be integers or slices, not str",
+    '{"steps": [[[0, 1, 2]]], "running_time": 1, "percolated": true,'
+    ' "truncated": false, "final_edge_count": 3}':  # a pair of three
+    "malformed trace: too many values to unpack (expected 2)",
+    '{"steps": [], "running_time": "x", "percolated": true,'
+    ' "truncated": false, "final_edge_count": 3}':  # non-integer time
+    "malformed trace: running_time must be a JSON int",
+    '{"steps": [], "running_time": 0, "percolated": "false",'
+    ' "truncated": false, "final_edge_count": 3}':  # a string flag
+    "malformed trace: percolated must be a JSON bool",
+    '{"steps": [], "running_time": 0, "percolated": false,'
+    ' "truncated": 0, "final_edge_count": 3}':  # an integer flag
+    "malformed trace: truncated must be a JSON bool",
+    '{"steps": [], "running_time": false, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # a boolean count
+    "malformed trace: running_time must be a JSON int",
+    '{"steps": [], "running_time": 0, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3.0}':  # a float count
+    "malformed trace: final_edge_count must be a JSON int",
+    '{"steps": [], "running_time": 0, "percolated": false,'
+    ' "truncated": false, "final_edge_count": -1}':  # a negative count
+    "malformed trace: final_edge_count must be non-negative",
+    '{"steps": [[[0.7, "2"]]], "running_time": 1, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # a pair of a float and a string
+    "malformed trace: pair [0.7, '2'] is not two integers 0 <= u < v",
+    '{"steps": [[[2, 1]]], "running_time": 1, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # a pair written v u
+    "malformed trace: pair [2, 1] is not two integers 0 <= u < v",
+    '{"steps": [[[1, 2], [0, 3]]], "running_time": 1, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # a batch out of order
+    "malformed trace: pair [0, 3] breaks its batch's ascending order",
+    '{"steps": [[[0, 3], [0, 3]]], "running_time": 1, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # a pair twice
+    "malformed trace: pair [0, 3] breaks its batch's ascending order",
+    '{"steps": [[]], "running_time": 1, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # an empty batch
+    "malformed trace: empty batch",
+    '{"steps": [[[0, 3]]], "running_time": 2, "percolated": false,'
+    ' "truncated": false, "final_edge_count": 3}':  # time is not the batch count
+    "malformed trace: running_time 2 but 1 batches",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_TRACES))
 def test_trace_with_bad_fields_is_named(tmp_path, text):
     p = tmp_path / "t.json"
     p.write_text(text + "\n")
-    with pytest.raises(ValueError, match=r"t\.json:1: "):
+    with pytest.raises(ValueError, match=r"t\.json:1: " + re.escape(BAD_TRACES[text]) + "$"):
+        fileio.read_trace(p)
+
+
+@pytest.mark.parametrize(
+    "steps, reason",
+    [
+        ("{}", "steps must be a JSON array"),
+        ('"[[0, 1]]"', "steps must be a JSON array"),
+        ("[[[0, 1]], [[0, 2147483648]]]", "batch 1 has a vertex past 2**31 - 1"),
+        ("[[[0, 1], [2147483647, 2147483648]]]", "batch 0 has a vertex past 2**31 - 1"),
+    ],
+)
+def test_trace_steps_outside_the_flat_arrays_are_named(tmp_path, steps, reason):
+    # batches are stored in an array('i'), so a vertex must fit 32 signed bits
+    p = tmp_path / "t.json"
+    p.write_text(f'{{"steps": {steps}, "running_time": 0, "percolated": false,'
+                 ' "truncated": false, "final_edge_count": 0}\n')
+    with pytest.raises(ValueError, match=r"t\.json:1: malformed trace: " + re.escape(reason)):
         fileio.read_trace(p)
