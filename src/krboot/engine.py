@@ -47,11 +47,15 @@ scratch and shares no step logic with the kernel.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
+import operator
+import re
 import struct
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -68,7 +72,8 @@ class Batches(Sequence):
     bytes, where a list of tuples costs about 189.  Reading batch t builds it
     as a list of (u, v) tuples, so a batch reads, prints and compares as a
     list does; the whole sequence compares equal to another trace's batches
-    and to a list of such lists.
+    and to a list of such lists.  A slice is a new ``Batches``; a step-1
+    slice is cut from the two arrays without reading any batch.
     """
 
     __slots__ = ("ends", "offsets")
@@ -94,7 +99,16 @@ class Batches(Sequence):
 
     def __getitem__(self, t):
         if isinstance(t, slice):
-            return Batches(self[i] for i in range(len(self))[t])
+            start, stop, step = t.indices(len(self))
+            if step != 1:
+                return Batches(self[i] for i in range(start, stop, step))
+            stop = max(start, stop)
+            a = self.offsets[start]
+            out = Batches()
+            out.ends = self.ends[2 * a : 2 * self.offsets[stop]]
+            out.offsets = array("q", map(operator.sub, self.offsets[start : stop + 1],
+                                         itertools.repeat(a)))
+            return out
         t = range(len(self))[t]  # negative indexes, and IndexError past the end
         return self._pairs(self.offsets[t], self.offsets[t + 1])
 
@@ -142,15 +156,32 @@ class PercolationTrace:
 
     def to_json(self) -> str:
         """One JSON object: the scalars, then ``steps`` as a list of batches of
-        [u, v] pairs, each batch written by one ``%`` format over its slice of
-        ``ends``.  The bytes are those of ``json.dumps`` on the nested lists."""
+        [u, v] pairs.  The bytes are those of ``json.dumps`` on the nested
+        lists; they are ``json_pieces`` joined."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self) -> Iterator[str]:
+        """The text of ``to_json`` in pieces: the scalars and the opening of
+        ``steps``, then at most ``_CHUNK`` pairs a piece, then the closing.
+        Each piece of pairs is one ``%`` over its slice of ``ends``, with a
+        template cached by the piece's shape, so a run of one-pair batches
+        costs one ``%`` per piece."""
         head = json.dumps({key: getattr(self, key) for key in _SCALARS})
+        yield f'{head[:-1]}, "steps": ['
         ends, offsets = self.steps.ends, self.steps.offsets
-        body = ", ".join(
-            f"[{', '.join(['[%d, %d]'] * (b - a))}]" % tuple(ends[2 * a : 2 * b])
-            for a, b in zip(offsets, itertools.islice(offsets, 1, None))
-        )
-        return f'{head[:-1]}, "steps": [{body}]}}'
+        total, a, t = offsets[-1], 0, 1  # offsets[t - 1] <= a < offsets[t]
+        while a < total:
+            b = min(a + _CHUNK, total)
+            u = bisect.bisect_left(offsets, b, t)  # offsets[t:u]: batch ends inside (a, b)
+            if u - t == b - a - 1:
+                cuts = None  # every pair but the last ends its batch
+            else:
+                cuts = tuple(map(operator.sub, offsets[t:u], itertools.repeat(a)))
+            closes = offsets[u] == b
+            template = _template(a == 0, offsets[t - 1] == a, closes, b - a, cuts)
+            yield template % tuple(ends[2 * a : 2 * b])
+            a, t = b, u + closes
+        yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "PercolationTrace":
@@ -158,7 +189,16 @@ class PercolationTrace:
         booleans, the counts integers, ``running_time`` is the number of
         batches, and each batch is a non-empty ascending list of pairs
         0 <= u < v < 2**31.  A field of another type or shape raises
-        ValueError or TypeError."""
+        ValueError or TypeError.
+
+        ``to_json``'s own layout is read in one pass straight into the flat
+        arrays (``_read_canonical``).  Any other JSON layout, and any text
+        that pass refuses, goes through ``json.loads`` with the same checks,
+        which alone give the reason for a refusal."""
+        read = _read_canonical(text)
+        if read is not None:
+            steps, scalars = read
+            return cls(steps, **scalars)
         obj = json.loads(text)
         loaded = obj["steps"]
         if type(loaded) is not list:
@@ -183,6 +223,113 @@ class PercolationTrace:
 
 # the trace fields besides ``steps``, with their JSON types
 _SCALARS = {"running_time": int, "percolated": bool, "truncated": bool, "final_edge_count": int}
+
+# pairs per piece of trace text: ``json_pieces`` formats at most this many
+# with one ``%``, and ``_read_canonical`` parses about as many at a time
+_CHUNK = 4096
+
+# ``to_json``'s layout: a JSON integer as ``json.dumps`` writes a
+# non-negative one, the fixed head up to the opening of ``steps``, and a run
+# of pairs, cut by ", " inside a batch and by "], [" between batches.  They
+# are compiled at the first read, not at import, which they would slow by
+# about 1 ms.
+_INT = "(?:0|[1-9][0-9]*)"
+_HEAD = (
+    rf'\{{"running_time": ({_INT}), "percolated": (true|false), '
+    rf'"truncated": (true|false), "final_edge_count": ({_INT}), "steps": \['
+)
+_PAIR = rf"\[{_INT}, {_INT}\]"
+_PAIRS = rf"{_PAIR}(?:(?:, |\], \[){_PAIR})*"
+_UNBRACKET = str.maketrans("[]", "  ")
+
+
+@functools.lru_cache(maxsize=8)
+def _template(first: bool, opens: bool, closes: bool, k: int, cuts: tuple | None) -> str:
+    """The ``%`` template of ``k`` pairs of ``steps`` text: after the
+    previous piece's ", " unless ``first``, opening a batch if ``opens`` and
+    closing one if ``closes``, and with a batch ending after the first c
+    pairs for each c in ``cuts`` (None: after every pair but the last)."""
+    seps = [", "] * k  # seps[i] comes before pair i
+    for c in range(1, k) if cuts is None else cuts:
+        seps[c] = "], ["
+    seps[0] = ("" if first else ", ") + ("[" if opens else "")
+    return "[%d, %d]".join(seps) + "[%d, %d]" + ("]" if closes else "")
+
+
+def _read_canonical(text: str) -> tuple[Batches, dict] | None:
+    """The steps and scalars of a trace in ``to_json``'s layout, read in one
+    pass, or None for any text that is not in it or fails a check.
+
+    It walks the pairs in chunks of about ``_CHUNK`` pairs, cut after a
+    pair.  Each chunk is matched whole against ``_PAIRS`` and its integers
+    go into ``ends``; its batch ends come from its "]], [[" cuts, and a
+    chunk of one-pair batches extends ``offsets`` with one range.  The
+    pairs are then checked over the new slice as ``_batch`` checks them:
+    u < v (u >= 0 is the grammar's), and ascending order inside each batch,
+    across chunk edges too.
+    """
+    head = re.match(_HEAD, text)
+    end = len(text)
+    while end and text[end - 1] in " \t\n\r":  # JSON's trailing whitespace
+        end -= 1
+    if head is None or not text.startswith("]}", end - 2):
+        return None
+    steps = Batches()
+    ends, offsets = steps.ends, steps.offsets
+    a, z = head.end(), end - 2  # the batches are text[a:z]
+    if a < z:
+        if text[a] != "[" or text[z - 1] != "]":
+            return None
+        a, z = a + 1, z - 1  # from the first pair's "[" to past the last pair's "]"
+        total, last = 0, None  # pairs read, and the last one while its batch runs on
+        grammar = re.compile(_PAIRS)  # from re's cache after the first read
+        while True:
+            cut = text.find("], [", a + 16 * _CHUNK, z)  # a pair's "]", or its batch's
+            closes = cut < 0 or text[cut - 1] == "]"  # the chunk ends a batch
+            b = z if cut < 0 else cut if closes else cut + 1  # past the chunk's last pair
+            if grammar.fullmatch(text, a, b) is None:
+                return None
+            chunk = text[a:b]
+            try:  # a flat JSON list of the chunk's integers, in C
+                new = array("i", json.loads(f"[{chunk.translate(_UNBRACKET)}]"))
+            except (OverflowError, ValueError):  # past 2**31 - 1, or too many digits
+                return None
+            k = len(new) // 2
+            if not all(map(operator.lt, new[::2], new[1::2])):
+                return None
+            if last is not None and (new[0], new[1]) <= last:
+                return None
+            if chunk.count("]], [[") == k - 1:  # one pair a batch
+                offsets.extend(range(total + 1, total + k))
+            else:
+                sizes = [s.count("], [") + 1 for s in chunk.split("]], [[")]
+                starts = list(itertools.accumulate(sizes[:-1]))  # of every batch but the first
+                it = iter(new)
+                pairs = list(zip(it, it))
+                descents = itertools.compress(
+                    itertools.count(1), map(operator.ge, pairs, itertools.islice(pairs, 1, None))
+                )
+                if not set(starts).issuperset(descents):
+                    return None
+                offsets.extend(map(operator.add, starts, itertools.repeat(total)))
+            ends += new
+            total += k
+            if closes:
+                offsets.append(total)
+            last = None if closes else (new[-2], new[-1])
+            if cut < 0:
+                break
+            a = cut + 4 if closes else cut + 3  # the next pair's "["
+    running_time, percolated, truncated, final_edge_count = head.groups()
+    if running_time != str(len(steps)) or len(final_edge_count) > 4300:  # int()'s digit limit
+        return None
+    return steps, {
+        "running_time": len(steps),
+        "percolated": percolated == "true",
+        "truncated": truncated == "true",
+        "final_edge_count": int(final_edge_count),
+    }
+
 
 def _batch(pairs: list) -> list[tuple[int, int]]:
     """One batch of a trace file as ``run`` writes it, or ValueError."""

@@ -176,8 +176,9 @@ def read_apset(path) -> ApSet:
 
 
 def write_trace(t: PercolationTrace, path) -> None:
-    with _overwrite(path) as fh:
-        fh.write(t.to_json() + "\n")
+    with _overwrite(path) as fh:  # piece by piece: no string of the whole file
+        fh.writelines(t.json_pieces())
+        fh.write("\n")
 
 
 def read_trace(path) -> PercolationTrace:

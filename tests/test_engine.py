@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import random
+import re
+from array import array
 from unittest import mock
 
 import pytest
@@ -519,6 +521,14 @@ def test_batches_read_as_a_list_of_tuple_lists():
     assert repr(steps[1]) == "[(0, 3)]"
     assert steps[1:] == lists[1:] and steps[::2] == lists[::2] and steps[5:] == []
     assert isinstance(steps[:2], Batches)
+    # a step-1 slice cuts the arrays: empty, negative-bound and full-length ones too
+    for cut in (slice(1, 1), slice(2, 1), slice(-2, None), slice(None, -1), slice(-5, -2),
+                slice(None), slice(0, 3), slice(-3, 99), slice(1, None, 1)):
+        part = steps[cut]
+        assert isinstance(part, Batches) and part == lists[cut]
+        assert part == Batches(lists[cut])  # the same arrays as built batch by batch
+    assert steps[:] == steps and steps[3:].offsets == array("q", [0]) and not steps[3:].ends
+    assert steps[::-1] == lists[::-1] and steps[-1::-2] == lists[-1::-2]
     assert list(steps.ends) == [0, 2, 1, 3, 0, 3, 4, 9, 5, 7, 6, 8]
     assert list(steps.offsets) == [0, 2, 3, 6]
 
@@ -553,6 +563,35 @@ def test_trace_json_is_json_dumps_of_the_nested_lists():
                   "final_edge_count": 0, "steps": steps}
         assert t.to_json() == json.dumps(fields)
         assert PercolationTrace.from_json(t.to_json()) == t
+
+
+# one-pair runs, batches larger than a small chunk, and the two mixed
+CHUNK_EDGE_STEPS = [
+    [],
+    [[(0, 1)]],
+    [[(0, 1)], [(0, 2)], [(1, 2)], [(3, 9)], [(0, 9)]],
+    [[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (4, 6), (4, 7)]],
+    [[(0, 1)], [(0, 2)], [(0, 3), (1, 3), (2, 3), (2, 4)], [(5, 6)], [(5, 7), (6, 7)],
+     [(8, 9)], [(7, 9)], [(0, 9), (1, 9), (2, 9), (3, 9), (4, 9), (5, 9), (6, 9)], [(10, 11)]],
+    [[(0, 1), (2, 2**31 - 1)], [(2**31 - 2, 2**31 - 1)]],
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, engine._CHUNK])
+@pytest.mark.parametrize("steps", CHUNK_EDGE_STEPS, ids=range(len(CHUNK_EDGE_STEPS)))
+def test_trace_json_across_chunk_edges(monkeypatch, chunk, steps):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    t = PercolationTrace(steps=steps, running_time=len(steps), final_edge_count=7)
+    fields = {"running_time": len(steps), "percolated": False, "truncated": False,
+              "final_edge_count": 7, "steps": steps}
+    pieces = list(t.json_pieces())
+    assert "".join(pieces) == t.to_json() == json.dumps(fields)
+    pairs = [len(re.findall(r"\[\d+, \d+\]", piece)) for piece in pieces[1:-1]]
+    assert sum(pairs) == len(t.steps.ends) // 2 and all(0 < k <= chunk for k in pairs)
+    assert engine._read_canonical(t.to_json()) == (t.steps, {
+        key: fields[key] for key in ("running_time", "percolated", "truncated", "final_edge_count")
+    })
+    assert PercolationTrace.from_json(t.to_json()) == t
 
 
 def test_run_holds_its_trace_in_two_flat_arrays():

@@ -6,13 +6,16 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krboot import fileio
+from krboot import engine, fileio
 from krboot.apsets import ApSet, ap_digits3
 from krboot.cli import main
 from krboot.constructions import build_chain, build_h6
@@ -425,6 +428,182 @@ def test_trace_json_is_json_dumps_of_the_nested_lists(trace):
     fields = {key: getattr(trace, key) for key in
               ("running_time", "percolated", "truncated", "final_edge_count")}
     assert trace.to_json() == json.dumps({**fields, "steps": list(trace.steps)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces())
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_traces_round_trip_across_chunk_edges(chunk, trace):
+    # pieces and read chunks of 1 to 3 pairs cut batches at every place
+    fields = {key: getattr(trace, key) for key in
+              ("running_time", "percolated", "truncated", "final_edge_count")}
+    with mock.patch.object(engine, "_CHUNK", chunk), tempfile.TemporaryDirectory() as d:
+        assert trace.to_json() == json.dumps({**fields, "steps": list(trace.steps)})
+        p = os.path.join(d, "t.json")
+        fileio.write_trace(trace, p)
+        with open(p) as fh:
+            assert fh.read() == trace.to_json() + "\n"
+        assert fileio.read_trace(p) == trace
+
+
+def _json_path(text: str):
+    """``from_json`` through json.loads alone: the trace, or the exception."""
+    with mock.patch.object(engine, "_read_canonical", lambda text: None):
+        try:
+            return PercolationTrace.from_json(text)
+        except (KeyError, TypeError, ValueError) as e:
+            return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces(), st.data())
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_the_one_pass_reader_agrees_with_json_loads(chunk, trace, data):
+    # an edit of up to 3 characters into up to 3 of the layout's own characters
+    text = trace.to_json()
+    i = data.draw(st.integers(0, len(text)))
+    j = data.draw(st.integers(i, min(len(text), i + 3)))
+    edited = text[:i] + data.draw(st.text("[], 0123456789-\n", max_size=3)) + text[j:]
+    with mock.patch.object(engine, "_CHUNK", chunk):
+        fast = engine._read_canonical(edited)
+    slow = _json_path(edited)
+    if fast is not None:  # what the one pass takes, json.loads takes alike
+        steps, scalars = fast
+        assert slow == PercolationTrace(steps, **scalars)
+    elif isinstance(slow, PercolationTrace):  # and it takes every canonical text
+        assert slow.to_json() != edited.rstrip(" \t\n\r")
+
+
+# a trace with one- and two-pair batches; at a chunk of one pair the reader
+# cuts its steps after every pair
+CANONICAL = PercolationTrace(
+    steps=[[(0, 1)], [(0, 2), (1, 3)], [(2, 5)], [(1, 4), (2, 4)]],
+    running_time=4,
+    percolated=True,
+    final_edge_count=12,
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(json.loads(CANONICAL.to_json()), indent=1),
+        json.dumps(json.loads(CANONICAL.to_json()), sort_keys=True),
+        CANONICAL.to_json().replace(", ", " ,  ").replace("[[", "[ ["),
+        " " + CANONICAL.to_json(),
+        CANONICAL.to_json().replace("]]]}", "]] ]}"),
+        CANONICAL.to_json() + "\n\r\t ",
+    ],
+    ids=["indent", "keys-sorted", "spaces", "leading-space", "space-at-end", "blank-tail"],
+)
+@pytest.mark.parametrize("chunk", [1, engine._CHUNK])
+def test_other_json_layouts_read_as_the_canonical_one(tmp_path, monkeypatch, chunk, text):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    for tail in ("", "\n"):
+        p = tmp_path / "t.json"
+        p.write_text(text + tail)
+        assert fileio.read_trace(p) == PercolationTrace.from_json(text) == CANONICAL
+    canonical = CANONICAL.to_json()
+    assert engine._read_canonical(canonical) is not None
+    assert (engine._read_canonical(text) is None) == (text.rstrip() != canonical)
+
+
+@pytest.mark.parametrize(
+    "old, new, reason",
+    [
+        ("[2, 5]", "[3, 3]", "pair [3, 3] is not two integers 0 <= u < v"),
+        ("[2, 5]", "[5, 2]", "pair [5, 2] is not two integers 0 <= u < v"),
+        ("[0, 1]", "[-1, 1]", "pair [-1, 1] is not two integers 0 <= u < v"),
+        ("[2, 5]", "[2, 2147483648]", "batch 2 has a vertex past 2**31 - 1"),
+        ("[0, 2], [1, 3]", "[1, 3], [0, 2]", "pair [0, 2] breaks its batch's ascending order"),
+        ("[1, 4], [2, 4]", "[2, 4], [2, 4]", "pair [2, 4] breaks its batch's ascending order"),
+        ('"running_time": 4', '"running_time": 5', "running_time 5 but 4 batches"),
+        ("[[2, 5]]", "[]", "empty batch"),
+    ],
+)
+@pytest.mark.parametrize("chunk", [1, engine._CHUNK])
+def test_canonical_looking_bad_traces_get_the_json_path_reason(
+    tmp_path, monkeypatch, chunk, old, new, reason
+):
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
+    text = CANONICAL.to_json().replace(old, new, 1)
+    assert text != CANONICAL.to_json() and re.match(engine._HEAD, text)
+    assert engine._read_canonical(text) is None
+    p = tmp_path / "t.json"
+    p.write_text(text + "\n")
+    with pytest.raises(ValueError, match=r"t\.json:1: malformed trace: " + re.escape(reason) + "$"):
+        fileio.read_trace(p)
+
+
+def test_a_leading_zero_gets_the_json_decoder_reason(tmp_path):
+    text = CANONICAL.to_json().replace("[2, 5]", "[02, 5]")
+    assert re.match(engine._HEAD, text) and engine._read_canonical(text) is None
+    with pytest.raises(json.JSONDecodeError) as e:
+        json.loads(text)
+    p = tmp_path / "t.json"
+    p.write_text(text + "\n")
+    with pytest.raises(ValueError, match=rf"t\.json:1: {re.escape(e.value.msg)}$"):
+        fileio.read_trace(p)
+
+
+@pytest.mark.parametrize("key", ["running_time", "final_edge_count"])
+def test_a_count_of_many_digits_is_left_to_json_loads(key):
+    # past 4300 digits int() may refuse it, as json.loads then does
+    value = getattr(CANONICAL, key)
+    text = CANONICAL.to_json().replace(f'"{key}": {value}', f'"{key}": {value}{"0" * 5000}')
+    assert engine._read_canonical(text) is None
+    slow = _json_path(text)
+    if key == "final_edge_count" and isinstance(slow, PercolationTrace):  # no digit limit
+        assert slow.final_edge_count == value * 10**5000
+    else:
+        with pytest.raises(ValueError, match=re.escape(str(slow))):
+            PercolationTrace.from_json(text)
+
+
+# builds the scaffold-sized trace of 2,560,000 one-pair batches (vertices
+# below 64,040), then writes and reads it back, printing each call's peak
+# RSS bump (``ru_maxrss``, KiB on Linux)
+FRONTIER = """
+import json, resource, sys
+from array import array
+from krboot import engine, fileio
+
+m = 2_560_000
+steps = engine.Batches()
+for t in range(m):
+    u = t // 40
+    steps.ends.append(u)
+    steps.ends.append(u + 1 + t % 40)
+steps.offsets = array("q", range(m + 1))
+trace = engine.PercolationTrace(steps, running_time=m, percolated=True, final_edge_count=m)
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
+fileio.write_trace(trace, sys.argv[1])
+written = peak()
+back = fileio.read_trace(sys.argv[1])
+read = peak()
+print(json.dumps({"write_kib": written - before, "read_kib": read - written,
+                  "equal": back == trace, "running_time": back.running_time}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_frontier_trace_streams_to_and_from_a_file(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    path = tmp_path / "frontier.json"
+    out = subprocess.run([sys.executable, "-c", FRONTIER, str(path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=600)
+    got = json.loads(out.stdout)
+    assert got["equal"] and got["running_time"] == 2_560_000
+    # the whole file as one string would be 45 MB, and json.loads's lists about 690 MB
+    assert got["write_kib"] < 50 * 1024
+    assert got["read_kib"] < 150 * 1024
+    with open(path, "rb") as fh:
+        assert fh.read(64).startswith(b'{"running_time": 2560000, "percolated": true, ')
+        fh.seek(-24, os.SEEK_END)
+        assert fh.read().endswith(b"[[63999, 64039]]]}\n")
 
 
 @settings(max_examples=150, deadline=None)
