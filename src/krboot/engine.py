@@ -72,8 +72,7 @@ class Batches(Sequence):
     bytes, where a list of tuples costs about 189.  Reading batch t builds it
     as a list of (u, v) tuples, so a batch reads, prints and compares as a
     list does; the whole sequence compares equal to another trace's batches
-    and to a list of such lists.  A slice is a new ``Batches``; a step-1
-    slice is cut from the two arrays without reading any batch.
+    and to a list of such lists.  Every batch holds at least one pair.
     """
 
     __slots__ = ("ends", "offsets")
@@ -90,6 +89,8 @@ class Batches(Sequence):
         k = len(batch)
         if k == 1:  # a scaffold's replay step: extend is 2x faster than the pack
             self.ends.extend(batch[0])
+        elif not k:  # a step adds an edge; the trace file has no empty batch
+            raise ValueError("empty batch")
         else:
             self.ends.frombytes(struct.pack(f"{2 * k}i", *itertools.chain.from_iterable(batch)))
         self.offsets.append(self.offsets[-1] + k)
@@ -99,16 +100,7 @@ class Batches(Sequence):
 
     def __getitem__(self, t):
         if isinstance(t, slice):
-            start, stop, step = t.indices(len(self))
-            if step != 1:
-                return Batches(self[i] for i in range(start, stop, step))
-            stop = max(start, stop)
-            a = self.offsets[start]
-            out = Batches()
-            out.ends = self.ends[2 * a : 2 * self.offsets[stop]]
-            out.offsets = array("q", map(operator.sub, self.offsets[start : stop + 1],
-                                         itertools.repeat(a)))
-            return out
+            return Batches(self[i] for i in range(len(self))[t])
         t = range(len(self))[t]  # negative indexes, and IndexError past the end
         return self._pairs(self.offsets[t], self.offsets[t + 1])
 
@@ -262,8 +254,7 @@ def _read_canonical(text: str) -> tuple[Batches, dict] | None:
 
     It walks the pairs in chunks of about ``_CHUNK`` pairs, cut after a
     pair.  Each chunk is matched whole against ``_PAIRS`` and its integers
-    go into ``ends``; its batch ends come from its "]], [[" cuts, and a
-    chunk of one-pair batches extends ``offsets`` with one range.  The
+    go into ``ends``; its batch ends come from its "]], [[" cuts.  The
     pairs are then checked over the new slice as ``_batch`` checks them:
     u < v (u >= 0 is the grammar's), and ascending order inside each batch,
     across chunk edges too.
@@ -299,19 +290,16 @@ def _read_canonical(text: str) -> tuple[Batches, dict] | None:
                 return None
             if last is not None and (new[0], new[1]) <= last:
                 return None
-            if chunk.count("]], [[") == k - 1:  # one pair a batch
-                offsets.extend(range(total + 1, total + k))
-            else:
-                sizes = [s.count("], [") + 1 for s in chunk.split("]], [[")]
-                starts = list(itertools.accumulate(sizes[:-1]))  # of every batch but the first
-                it = iter(new)
-                pairs = list(zip(it, it))
-                descents = itertools.compress(
-                    itertools.count(1), map(operator.ge, pairs, itertools.islice(pairs, 1, None))
-                )
-                if not set(starts).issuperset(descents):
-                    return None
-                offsets.extend(map(operator.add, starts, itertools.repeat(total)))
+            sizes = [s.count("], [") + 1 for s in chunk.split("]], [[")]
+            starts = list(itertools.accumulate(sizes[:-1]))  # of every batch but the first
+            it = iter(new)
+            pairs = list(zip(it, it))
+            descents = itertools.compress(
+                itertools.count(1), map(operator.ge, pairs, itertools.islice(pairs, 1, None))
+            )
+            if not set(starts).issuperset(descents):
+                return None
+            offsets.extend(map(operator.add, starts, itertools.repeat(total)))
             ends += new
             total += k
             if closes:
