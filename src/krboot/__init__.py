@@ -5,6 +5,9 @@ process to stabilization, verify the structural conditions behind the
 step-per-pair lower bounds, and search small hosts exhaustively.
 """
 
+# engine first: it is the largest module to compile, and where no bytecode
+# cache is written, the modules loaded after it reuse its compile's memory
+from .engine import PercolationTrace, replay, run, run_oracle, step_kr
 from .apsets import ApSet, ap_digits3, ap_max_exhaustive
 from .constructions import (
     ConstructionOutput,
@@ -15,7 +18,6 @@ from .constructions import (
     build_hprime,
     minimal_percolating,
 )
-from .engine import PercolationTrace, replay, run, run_oracle, step_kr
 from .graphs import (
     Graph,
     UniformHypergraph,

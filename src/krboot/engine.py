@@ -27,6 +27,14 @@ the new edge is a fresh K_r.  Three kernel entry points apply this rule:
 Both clique-first scans charge and collect each clique's AND through
 ``_collect_pairs``.  Every route gives the same batch.
 
+Every scan gives its batch in row form: one ``(u, mask, vs)`` per row u,
+in ascending u, with the partners v > u ascending in ``vs`` and their bits
+in ``mask``.  The row scan keeps each row's candidates less its misses as
+``mask``; the clique-first scans group their sorted pairs (``_rows``).
+``run`` applies a row with ``adj[u] |= mask`` and one OR of ``1 << u`` into
+each ``adj[v]``, and appends it to the trace as one slice
+(``Batches._add_rows``), so a dense step builds no tuple per pair.
+
 Every clique and bit walk runs from the highest vertex down, as
 ``graphs.near_cliques`` and ``graphs.iter_bits`` do: a vertex is taken as
 the top bit of what is left and cleared, and is extended or paired only
@@ -40,7 +48,10 @@ The kernel keeps the current graph inside the host: ``_check_inputs``
 refuses a start with an edge outside it, and every pair the kernel adds is a
 host pair.  So ``adj[x]`` is a subset of ``host_adj[x]`` at every kernel
 call, and x's non-adjacent host partners are ``host_adj[x] ^ adj[x]``,
-which is one operation where ``host_adj[x] & ~adj[x]`` is two.
+which is one operation where ``host_adj[x] & ~adj[x]`` is two.  Those
+inside a mask c are ``(c & host_adj[x]) ^ (c & adj[x])``: two ANDs no wider
+than c, where the XOR is as wide as the host row.  The clique-first scans
+take partner rows only in that narrow form.
 
 ``run_oracle`` re-decides every step by counting complete K_r subgraphs from
 scratch and shares no step logic with the kernel.
@@ -73,6 +84,11 @@ class Batches(Sequence):
     as a list of (u, v) tuples, so a batch reads, prints and compares as a
     list does; the whole sequence compares equal to another trace's batches
     and to a list of such lists.  Every batch holds at least one pair.
+
+    ``run`` appends each batch in the kernel's row form (``_add_rows``): row
+    u with partners v0, v1, ... becomes the endpoints u, v0, u, v1, ..., an
+    array of u's with ``vs`` written over its odd slots by one slice
+    assignment.  The readers append lists of pairs (``_add``).
     """
 
     __slots__ = ("ends", "offsets")
@@ -84,16 +100,27 @@ class Batches(Sequence):
             self._add(batch)
 
     def _add(self, batch: list[tuple[int, int]]) -> None:
-        """Append one batch.  Only a trace's builders call this (``run``,
-        ``from_json`` and ``__init__``); a built trace is not changed."""
-        k = len(batch)
-        if k == 1:  # a scaffold's replay step: extend is 2x faster than the pack
-            self.ends.extend(batch[0])
-        elif not k:  # a step adds an edge; the trace file has no empty batch
+        """Append one batch of pairs.  Only a trace's readers call this
+        (``from_json`` and ``__init__``); a built trace is not changed."""
+        if not batch:  # a step adds an edge; the trace file has no empty batch
             raise ValueError("empty batch")
-        else:
-            self.ends.frombytes(struct.pack(f"{2 * k}i", *itertools.chain.from_iterable(batch)))
+        self.ends.extend(itertools.chain.from_iterable(batch))
+        self.offsets.append(self.offsets[-1] + len(batch))
+        if len(self.ends) != 2 * self.offsets[-1]:
+            raise ValueError("a pair is not two vertices")
+
+    def _add_rows(self, rows: list[tuple[int, int, list[int]]]) -> int:
+        """Append one non-empty batch in the kernel's row form and return its
+        number of pairs.  Only ``run`` calls this."""
+        ends = self.ends
+        k = 0
+        for u, _, vs in rows:
+            chunk = array("i", (u,)) * (2 * len(vs))
+            chunk[1::2] = array("i", vs)
+            ends += chunk
+            k += len(vs)
         self.offsets.append(self.offsets[-1] + k)
+        return k
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -110,8 +137,8 @@ class Batches(Sequence):
             yield self._pairs(a, b)
 
     def _pairs(self, a: int, b: int) -> list[tuple[int, int]]:
-        it = iter(self.ends[2 * a : 2 * b])
-        return list(zip(it, it))
+        # unpacked in place: no copy of the slice, and a list of exact size
+        return list(struct.iter_unpack("2i", memoryview(self.ends)[2 * a : 2 * b]))
 
     def __eq__(self, other):
         if isinstance(other, Batches):
@@ -200,7 +227,7 @@ class PercolationTrace:
             loaded[t] = None  # each loaded batch goes once it is stored
             try:
                 steps._add(_batch(batch))
-            except (OverflowError, struct.error):
+            except OverflowError:
                 raise ValueError(f"batch {t} has a vertex past 2**31 - 1") from None
         trace = cls(steps, **{key: obj[key] for key in _SCALARS})
         for key, kind in _SCALARS.items():
@@ -352,18 +379,33 @@ def _check_inputs(current: Graph, r: int, host: Graph, max_steps: int | None = N
 
 
 def step_kr(current: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
-    """One synchronous step: all host edges whose insertion creates a new K_r.
+    """One synchronous step: all host edges whose insertion creates a new K_r,
+    sorted.
 
     This is ``start_scan`` with the host edges still missing as its budget."""
     _check_inputs(current, r, host)
     missing = host.edge_count() - current.edge_count()
-    return start_scan(current.adj, host.adj, r, missing)
+    return [(u, v) for u, _, vs in start_scan(current.adj, host.adj, r, missing) for v in vs]
+
+
+def _rows(pairs: list[tuple[int, int]]) -> list[tuple[int, int, list[int]]]:
+    """Sorted pairs (u, v), u < v, in row form."""
+    rows: list[tuple[int, int, list[int]]] = []
+    for u, v in pairs:
+        if rows and rows[-1][0] == u:
+            _, mask, vs = rows[-1]
+            vs.append(v)
+            rows[-1] = (u, mask | 1 << v, vs)
+        else:
+            rows.append((u, 1 << v, [v]))
+    return rows
 
 
 def start_scan(
     adj: list[int], host_adj: list[int], r: int, budget: int
-) -> list[tuple[int, int]]:
-    """The clique-first start scan: the host pairs eligible in ``adj``, sorted.
+) -> list[tuple[int, int, list[int]]]:
+    """The clique-first start scan: the host pairs eligible in ``adj``, in row
+    form.
 
     It enumerates each (r-2)-clique Q once (``graphs.near_cliques``) and
     collects the non-adjacent host pairs inside the AND of Q's rows.  Two
@@ -380,7 +422,7 @@ def start_scan(
     except OverBudget:
         found.clear()  # the abandoned pairs go before the row scan runs
         return eligible(adj, host_adj, r)
-    return sorted(found)
+    return _rows(sorted(found))
 
 
 def _collect_pairs(
@@ -408,14 +450,14 @@ def _collect_pairs(
             raise OverBudget
         for b in iter_bits(common):
             common ^= 1 << b  # the vertices of the AND below b
-            for a in iter_bits(common & (host_adj[b] ^ adj[b])):
+            for a in iter_bits((common & host_adj[b]) ^ (common & adj[b])):
                 found.add((a, b))
     return spent
 
 
-def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int]]:
+def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int, list[int]]]:
     """The row scan: the host pairs (u, v), u < v, not in ``adj`` whose edge
-    closes a K_r, sorted.
+    closes a K_r, in row form.
 
     It walks u in ascending order and builds u's row of partners: the
     non-adjacent host vertices v > u.  Such a pair needs r-2 common
@@ -424,11 +466,11 @@ def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int
     at least r-2 neighbours with u, counted in r-2 bit-sliced saturating
     levels: ``levels[j]`` holds the vertices seen in more than j of u's
     neighbour rows.  Each pair left is probed with ``has_clique_rows`` on
-    its common neighbourhood, from the row's top down, and the row's hits
-    go into the batch reversed.
+    its common neighbourhood, from the row's top down.  The row's mask is
+    its partners less the misses, and its hits go into ``vs`` reversed.
     """
     k = r - 2
-    batch: list[tuple[int, int]] = []
+    batch: list[tuple[int, int, list[int]]] = []
     for u, au in enumerate(adj):
         base = u + 1
         cand = (host_adj[u] ^ au) >> base
@@ -440,22 +482,32 @@ def eligible(adj: list[int], host_adj: list[int], r: int) -> list[tuple[int, int
                     levels[j] |= levels[j - 1] & aw
                 levels[0] |= aw
             cand &= levels[-1] >> base
-        hits = []
+        row, vs = cand, []
         while cand:
             b = cand.bit_length() - 1
-            cand ^= 1 << b
+            bit = 1 << b
+            cand ^= bit
             v = base + b
             common = au & adj[v]
             if common.bit_count() >= k and has_clique_rows(adj, common, k):
-                hits.append((u, v))
-        batch += reversed(hits)  # the row is walked from the top
+                vs.append(v)
+            else:
+                row ^= bit
+        if vs:
+            vs.reverse()  # the row is walked from the top
+            batch.append((u, row << base, vs))
     return batch
 
 
 def eligible_after(
-    adj: list[int], host_adj: list[int], r: int, batch: list[tuple[int, int]], budget: int
-) -> list[tuple[int, int]]:
-    """The anchored step: the host pairs eligible once ``batch`` is in ``adj``.
+    adj: list[int],
+    host_adj: list[int],
+    r: int,
+    batch: list[tuple[int, int, list[int]]],
+    budget: int,
+) -> list[tuple[int, int, list[int]]]:
+    """The anchored step: the host pairs eligible once ``batch``, in row
+    form, is in ``adj``; in row form too.
 
     ``batch`` must be the whole step just applied, so no pair outside it was
     eligible before it, and a K_r that a pair closes now contains some batch
@@ -476,52 +528,62 @@ def eligible_after(
     C(c, 2) for an AND cut to c vertices, before any pair is taken from it);
     each enumeration also stops once its own visits pass what is left.  Past
     ``budget`` the step is abandoned for the row scan, ``eligible``; both
-    paths give the same batch, sorted.
+    paths give the same batch.
     """
     found: set[tuple[int, int]] = set()
     work = 0
     try:
-        for u, v in batch:
-            work += (adj[u] & adj[v]).bit_count() + (adj[u] ^ adj[v]).bit_count()
+        for u, _, vs in batch:
+            au = adj[u]
+            for v in vs:
+                work += (au & adj[v]).bit_count() + (au ^ adj[v]).bit_count()
             if work > budget:
                 raise OverBudget
-        for u, v in batch:
-            c = adj[u] & adj[v]
-            # case 2's candidates w, for x = u and for x = v
-            wu = adj[v] & (host_adj[u] ^ adj[u])
-            wv = adj[u] & (host_adj[v] ^ adj[v])
-            wuv = wu | wv
-            # C's vertices with a non-adjacent host partner in C (case 1's
-            # pairs lie among them), and those adjacent to some w
-            inner = near = 0
-            if r >= 4:
-                for a in iter_bits(c):
-                    if c & (host_adj[a] ^ adj[a]):
-                        inner |= 1 << a
-                    if adj[a] & wuv:
-                        near |= 1 << a
-            if inner & (inner - 1):
-                cliques = near_cliques(adj, r - 4, c, budget - work)
-                work += _collect_pairs(found, adj, host_adj, cliques, inner, budget - work)
-            # the w adjacent to all of some (r-3)-clique of C
-            reach = 0
-            for q, _ in near_cliques(adj, r - 3, near, budget - work):
-                work += 1
-                if work > budget:
-                    raise OverBudget
-                row = wuv
-                for a in q:
-                    row &= adj[a]
-                reach |= row
-                if reach == wuv:
-                    break
-            for x, ws in ((u, wu), (v, wv)):
-                for w in iter_bits(ws & reach):
-                    found.add((x, w) if x < w else (w, x))
+        for u, _, vs in batch:
+            au, hu = adj[u], host_adj[u]
+            for v in vs:
+                av = adj[v]
+                c = au & av
+                # case 2's candidates w, for x = u and for x = v
+                wu = (av & hu) ^ c
+                wv = (au & host_adj[v]) ^ c
+                wuv = wu | wv
+                # C's vertices with a non-adjacent host partner in C (case 1's
+                # pairs lie among them), and those adjacent to some w
+                inner = near = 0
+                if r >= 4:
+                    rest = c
+                    while rest:
+                        a = rest.bit_length() - 1
+                        bit = 1 << a
+                        rest ^= bit
+                        if (c & host_adj[a]) != (c & adj[a]):
+                            inner |= bit
+                        if adj[a] & wuv:
+                            near |= bit
+                if inner & (inner - 1):
+                    cliques = near_cliques(adj, r - 4, c, budget - work)
+                    work += _collect_pairs(found, adj, host_adj, cliques, inner, budget - work)
+                # the w adjacent to all of some (r-3)-clique of C
+                reach = 0
+                for q, _ in near_cliques(adj, r - 3, near, budget - work):
+                    work += 1
+                    if work > budget:
+                        raise OverBudget
+                    row = wuv
+                    for a in q:
+                        row &= adj[a]
+                    reach |= row
+                    if reach == wuv:
+                        break
+                for w in iter_bits(wu & reach):
+                    found.add((u, w) if u < w else (w, u))
+                for w in iter_bits(wv & reach):
+                    found.add((v, w) if v < w else (w, v))
     except OverBudget:
         found.clear()  # the abandoned pairs go before the row scan runs
         return eligible(adj, host_adj, r)
-    return sorted(found)
+    return _rows(sorted(found))
 
 
 def run(
@@ -543,23 +605,26 @@ def run(
     steps = Batches()
     batch = start_scan(adj, host.adj, r, missing)
     truncated = False
+    t = 0  # batches taken
     # an empty batch means stabilized; never truncated, even at the exact budget
     while batch:
-        if len(steps) >= max_steps:
+        if t >= max_steps:
             truncated = True
             break
         # kernel pairs are host pairs with u < v, and the start lies in the host
-        for u, v in batch:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        steps._add(batch)
-        missing -= len(batch)
+        for u, mask, vs in batch:
+            adj[u] |= mask
+            bit = 1 << u
+            for v in vs:
+                adj[v] |= bit
+        missing -= steps._add_rows(batch)
+        t += 1
         batch = eligible_after(adj, host.adj, r, batch, missing)
 
     # the graph stays inside the host, so ``missing`` is all that it lacks
     return PercolationTrace(
         steps=steps,
-        running_time=len(steps),
+        running_time=t,
         percolated=missing == 0,
         truncated=truncated,
         final_edge_count=host_edges - missing,

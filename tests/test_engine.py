@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -151,6 +154,18 @@ def closing_pairs(g: Graph, r: int, host: Graph) -> list[tuple[int, int]]:
     ]
 
 
+def flat(rows) -> list[tuple[int, int]]:
+    """The pairs of a kernel batch in row form, once the form is checked:
+    ascending rows u, each with its partners v > u ascending in ``vs`` and
+    their bits in ``mask``."""
+    us = [u for u, _, _ in rows]
+    assert us == sorted(set(us))
+    for u, mask, vs in rows:
+        assert vs and u < vs[0] and vs == sorted(set(vs))
+        assert mask == sum(1 << v for v in vs)
+    return [(u, v) for u, _, vs in rows for v in vs]
+
+
 def full_scan_steps(g: Graph, r: int, host: Graph) -> list[list[tuple[int, int]]]:
     """Batches from a scan of every host pair at every step, no pruning at all."""
     g = g.copy()
@@ -239,7 +254,7 @@ def test_row_scan_cut_keeps_every_closing_pair(instance):
     # sparse rows of low degree have their partners cut to the vertices with
     # k common neighbours; no pair that closes a K_{k+2} may be cut away
     g, host, k = instance
-    assert eligible(g.adj, host.adj, k + 2) == closing_pairs(g, k + 2, host)
+    assert flat(eligible(g.adj, host.adj, k + 2)) == closing_pairs(g, k + 2, host)
 
 
 @st.composite
@@ -265,7 +280,7 @@ def hosted_starts(draw):
 def test_row_scan_batch_is_strictly_ascending(instance):
     # each row's partners are probed from the top, and its hits reversed
     start, r, host = instance
-    batch = eligible(start.adj, host.adj, r)
+    batch = flat(eligible(start.adj, host.adj, r))
     assert all(p < q for p, q in zip(batch, batch[1:]))
     assert batch == closing_pairs(start, r, host)
 
@@ -274,10 +289,11 @@ def assert_anchored_step(g, host, r, batch):
     """``eligible_after`` on both its paths equals the rule checked pair by
     pair; returns it."""
     expected = closing_pairs(g, r, host)
+    rows = engine._rows(batch)
     # budget 0 gives the clique-first path up at its first unit of work
-    assert eligible_after(g.adj, host.adj, r, batch, 0) == expected
+    assert flat(eligible_after(g.adj, host.adj, r, rows, 0)) == expected
     # no budget the step can reach: clique-first to the end, no row scan
-    assert row_scans(eligible_after, g.adj, host.adj, r, batch, 2**64) == (expected, 0)
+    assert row_scans(eligible_after, g.adj, host.adj, r, rows, 2**64) == (expected, 0)
     return expected
 
 
@@ -331,10 +347,11 @@ def scan_instances(draw):
 
 
 def row_scans(fn, *args):
-    """``fn(*args)`` and how many row scans (``engine.eligible`` calls) it made."""
+    """``fn(*args)``, flattened if it is a kernel batch in row form, and how
+    many row scans (``engine.eligible`` calls) it made."""
     with mock.patch.object(engine, "eligible", wraps=engine.eligible) as spy:
         out = fn(*args)
-    return out, spy.call_count
+    return (out if fn is step_kr else flat(out)), spy.call_count
 
 
 @settings(max_examples=300, deadline=None)
@@ -423,12 +440,13 @@ def test_anchored_step_skips_a_dense_common_neighbourhood_with_nothing_to_close(
     edges += [(a, x) for a in range(s) for x in (u, v)]
     g = Graph.from_edges(s + 3, edges)
     host = Graph.complete(s + 3)
+    batch = engine._rows([(u, v)])
     for r in (5, 6, 7):
         assert closing_pairs(g, r, host) == []
-        assert row_scans(eligible_after, g.adj, host.adj, r, [(u, v)], s + 3) == ([], 0)
+        assert row_scans(eligible_after, g.adj, host.adj, r, batch, s + 3) == ([], 0)
     # one unit less, and the bit counts alone send the step to the row scan
     with mock.patch.object(engine, "near_cliques", wraps=engine.near_cliques) as enum:
-        assert row_scans(eligible_after, g.adj, host.adj, 7, [(u, v)], s + 2) == ([], 1)
+        assert row_scans(eligible_after, g.adj, host.adj, 7, batch, s + 2) == ([], 1)
     assert enum.call_count == 0
 
 
@@ -555,6 +573,12 @@ def test_a_trace_has_no_empty_batch():
             Batches(steps)
 
 
+def test_a_trace_pair_is_two_vertices():
+    for steps in ([[(0, 1, 2)]], [[(0, 1), (2, 3, 4)]], [[(0, 1)], [(2,)]]):
+        with pytest.raises(ValueError, match="not two vertices"):
+            PercolationTrace(steps=steps, running_time=len(steps))
+
+
 def test_trace_json_is_json_dumps_of_the_nested_lists():
     big = [[(u, v) for u in range(100) for v in range(1000, 1100)]]  # one 10^4-pair batch
     for steps in ([], [[(0, 1)]], big, [[(0, 1)], *big, [(2, 2**31 - 1)]]):
@@ -610,6 +634,12 @@ def pinned_instance(name: str):
     if name == "h6-200":
         c = build_h6(200)
         return c.start, 6, Graph.complete(c.hypergraph.n)
+    if name == "gnp-300":
+        # a seeded G(300, 0.03) start in K_300 at r = 4: nine steps, seven of
+        # them row scans, with batches of 61 up to 19,750 pairs
+        rng = random.Random(30)
+        edges = [e for e in itertools.combinations(range(300), 2) if rng.random() < 0.03]
+        return Graph.from_edges(300, edges), 4, Graph.complete(300)
     # a seeded host with 95 % of K_40's pairs and a start with 30 % of the
     # host's: ten steps at r = 6 that mix row scans with clique-first ones
     rng = random.Random(12)
@@ -628,12 +658,51 @@ def pinned_instance(name: str):
         ("hprime-400", "0fc2969bb020c7156f158d3fb86565c08dccccbf0e2a4ec2425310a3e1da1d0b"),
         ("h6-200", "4b0ba214c40d3c4fc6801915007944b17488e87c63274e4a14848d2914b9d5da"),
         ("near-complete-r6", "13ebbbb4ed68413c58206f44aa2a6bb9cfb9c4bd807f6a05ffe7c6de8295954a"),
+        ("gnp-300", "cf61367a953a0351af3814500185025299b19595cc496b41f789b9a9a57f8b2a"),
     ],
 )
 def test_trace_bytes_are_pinned_on_scaffolds_and_a_dense_start(name, digest):
     # a kernel change must leave every trace byte-identical
     trace = run(*pinned_instance(name))
     assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
+
+
+# runs the K_4 process in K_1000 from a seeded G(1000, 0.012) start, whose
+# largest step adds 213,413 pairs through the row scan, and prints run's own
+# peak RSS bump in KiB.  The peak is VmHWM, the high-water mark of this
+# process image: ``ru_maxrss`` would start at the test process's own peak,
+# which a child inherits at its exec, and hide the bump.
+DENSE = """
+import itertools, json, random
+from krboot.engine import run
+from krboot.graphs import Graph
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+rng = random.Random(12)
+edges = [e for e in itertools.combinations(range(1000), 2) if rng.random() < 0.012]
+start, host = Graph.from_edges(1000, edges), Graph.complete(1000)
+before = peak()
+trace = run(start, 4, host)
+print(json.dumps({"run_kib": peak() - before, "steps": trace.running_time,
+                  "pairs": len(trace.steps.ends) // 2, "percolated": trace.percolated,
+                  "missing": host.edge_count() - start.edge_count()}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_dense_steps_build_no_pair_objects():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", DENSE], env=env,
+                         capture_output=True, text=True, check=True, timeout=600)
+    got = json.loads(out.stdout)
+    assert got["percolated"] and got["steps"] == 13 and got["pairs"] == got["missing"]
+    # a (u, v) tuple per pair lifts the bump to about 42 MB
+    assert got["run_kib"] < 25 * 1024
 
 
 @pytest.mark.slow

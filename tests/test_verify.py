@@ -3,9 +3,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
+from krboot import verify
 from krboot.apsets import ApSet, ap_digits3
 from krboot.constructions import (
     ConstructionOutput,
@@ -271,6 +273,62 @@ def test_pair_condition_rejects_degenerate_pair():
     pairs = [(3, 3)] + list(c.f_pairs[1:])
     with pytest.raises(ValueError, match="degenerate"):
         check_pair_condition(c.hypergraph, pairs)
+
+
+def walk_or_error(check, h, pairs):
+    """``check(h, pairs)``'s report fields, or the message it raises."""
+    try:
+        rep = check(h, pairs)
+    except ValueError as err:
+        return str(err)
+    return rep.passed, rep.witness, rep.witness_kind, rep.stats
+
+
+def test_pair_condition_lookup_matches_the_walk():
+    # the lookup decides a pass and hands anything else to the incidence
+    # walk, so every case must read as the walk reads it: swapped, repeated,
+    # degenerate and moved pairs, and out-of-range ones whose key u * n + v
+    # is a real pair's, one or two at a time.  ``extra`` passes but for pair
+    # 1, which also lies in edge 4; ``dup`` names an edge twice; in ``early``
+    # pair 1 lies in edges 0 and 1, not in 1 and 2.
+    rng = random.Random(5)
+    extra = UniformHypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (2, 3, 5)])
+    dup = UniformHypergraph(8, 5, [(0, 1, 2, 3, 4), (3, 4, 5, 6, 7), (0, 1, 2, 3, 4)])
+    early = UniformHypergraph(9, 4, [(0, 1, 2, 3), (1, 2, 3, 4), (5, 6, 7, 8)])
+    cases = [(c.hypergraph, c.f_pairs) for c in (build_chain(1), build_chain(6), build_h6(20))]
+    cases += [
+        (extra, [(1, 2), (2, 3), (3, 4), (3, 5), (2, 5)]),
+        (dup, [(3, 4), (6, 7), (0, 1)]),
+        (early, [(1, 2), (1, 3), (5, 6)]),
+        (UniformHypergraph(3, 2, []), []),
+    ]
+    assert walk_or_error(check_pair_condition, *cases[3]) == (
+        False, (1, 4), "pair-containment", {"pairs": 5, "containments": 5}
+    )
+    for h, f_pairs in cases:
+        assert walk_or_error(check_pair_condition, h, f_pairs) == walk_or_error(
+            verify._pair_walk, h, f_pairs
+        )
+        for _ in range(80 if f_pairs else 0):
+            pairs = list(f_pairs)
+            for _ in range(rng.randint(1, 2)):
+                i = rng.randrange(len(pairs))
+                u, v = pairs[i]
+                pairs[i] = rng.choice([
+                    (v, u),
+                    pairs[rng.randrange(len(pairs))],
+                    (u, u),
+                    (u - 1, v + h.n),
+                    (u + 1, v - h.n),
+                    tuple(rng.sample(range(h.n), 2)),
+                ])
+            with mock.patch.object(verify, "_pair_walk", wraps=verify._pair_walk) as walk:
+                got = walk_or_error(check_pair_condition, h, pairs)
+            assert got == walk_or_error(verify._pair_walk, h, pairs)
+            if h in (extra, dup, early) or list(map(set, pairs)) != list(map(set, f_pairs)):
+                continue
+            # the pairs, some of them swapped: a pass, decided by the lookup
+            assert got[0] and walk.call_count == 0
 
 
 def test_pair_condition_length_mismatch_rejected():
