@@ -448,9 +448,13 @@ def _collect_pairs(
         spent += 1 + c + c * (c - 1) // 2
         if spent > budget:
             raise OverBudget
-        for b in iter_bits(common):
+        while common:
+            b = common.bit_length() - 1
             common ^= 1 << b  # the vertices of the AND below b
-            for a in iter_bits((common & host_adj[b]) ^ (common & adj[b])):
+            row = (common & host_adj[b]) ^ (common & adj[b])
+            while row:
+                a = row.bit_length() - 1
+                row ^= 1 << a
                 found.add((a, b))
     return spent
 
@@ -576,9 +580,15 @@ def eligible_after(
                     reach |= row
                     if reach == wuv:
                         break
-                for w in iter_bits(wu & reach):
+                ws = wu & reach
+                while ws:
+                    w = ws.bit_length() - 1
+                    ws ^= 1 << w
                     found.add((u, w) if u < w else (w, u))
-                for w in iter_bits(wv & reach):
+                ws = wv & reach
+                while ws:
+                    w = ws.bit_length() - 1
+                    ws ^= 1 << w
                     found.add((v, w) if v < w else (w, v))
     except OverBudget:
         found.clear()  # the abandoned pairs go before the row scan runs

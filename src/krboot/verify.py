@@ -8,6 +8,7 @@ one (the final pair only in its own).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -131,12 +132,10 @@ def _pairs_pass(h: UniformHypergraph, f_pairs: Sequence[tuple[int, int]]) -> boo
     seen = bytearray(m)
     get = index.get
     for j, e in enumerate(h.edges):
-        for x, a in enumerate(e, 1):
-            row = a * n
-            for b in e[x:]:
-                i = get(row + b)
-                if i is not None:
-                    seen[i] |= 1 if i == j else 2 if i + 1 == j else 4
+        for a, b in itertools.combinations(e, 2):  # a < b: edges are sorted
+            i = get(a * n + b)
+            if i is not None:
+                seen[i] |= 1 if i == j else 2 if i + 1 == j else 4
     return not m or (seen.count(3) == m - 1 and seen[-1] == 1)
 
 
