@@ -8,29 +8,31 @@ sweep config both choose from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class ApSet:
     """Ascending integers drawn from [1, n]."""
 
-    n: int
-    elements: tuple[int, ...] = field(default_factory=tuple)
+    __slots__ = ("n", "elements")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, elements: tuple[int, ...] = ()):
+        if n < 0:
             raise ValueError("ambient bound must be non-negative")
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
-        for a, b in zip(elems, elems[1:]):
-            if a >= b:
-                raise ValueError("elements must be strictly increasing")
-        if elems and (elems[0] < 1 or elems[-1] > self.n):
-            raise ValueError(f"elements must lie in [1, {self.n}]")
+        elems = tuple(elements)
+        if any(a >= b for a, b in zip(elems, elems[1:])):
+            raise ValueError("elements must be strictly increasing")
+        if elems and (elems[0] < 1 or elems[-1] > n):
+            raise ValueError(f"elements must lie in [1, {n}]")
+        self.n = n
+        self.elements = elems
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def __eq__(self, other):
+        if not isinstance(other, ApSet):
+            return NotImplemented
+        return (self.n, self.elements) == (other.n, other.elements)
 
 
 def ap_digits3(n: int) -> ApSet:

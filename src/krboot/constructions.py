@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
 from .apsets import ApSet
@@ -25,7 +24,6 @@ class IntegrityError(ValueError):
     """A built object violates one of its own structural invariants."""
 
 
-@dataclass
 class ConstructionOutput:
     """A scaffold hypergraph with its pair sequence and start graph.
 
@@ -36,10 +34,13 @@ class ConstructionOutput:
     the start graph.
     """
 
-    hypergraph: UniformHypergraph | None = None
-    f_pairs: list[tuple[int, int]] | None = None
-    start: Graph | None = None
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("hypergraph", "f_pairs", "start", "meta", "__weakref__")
+
+    def __init__(self, hypergraph=None, f_pairs=None, start=None, meta=None):
+        self.hypergraph: UniformHypergraph | None = hypergraph
+        self.f_pairs: list[tuple[int, int]] | None = f_pairs
+        self.start: Graph | None = start
+        self.meta: dict = {} if meta is None else meta
 
     @property
     def vertices(self) -> int:
@@ -269,11 +270,10 @@ def minimal_percolating(n: int, r: int) -> Graph:
     """
     if not 3 <= r <= n:
         raise ValueError(f"need 3 <= r <= n, got r={r}, n={n}")
-    g = Graph.complete(n)
-    hole = range(r - 2, n)
-    for i in hole:
-        for j in range(i + 1, n):
-            g.remove_edge(i, j)
+    g = Graph(n)
+    full = (1 << n) - 1
+    # the first r - 2 vertices see every other vertex; the hole sees only them
+    g.adj = [full ^ (1 << u) for u in range(r - 2)] + [(1 << (r - 2)) - 1] * (n - r + 2)
     expect = n * (n - 1) // 2 - (n - r + 2) * (n - r + 1) // 2
     if g.edge_count() != expect:
         raise IntegrityError("edge count mismatch in dense seed")

@@ -67,7 +67,6 @@ import re
 import struct
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import Graph, OverBudget, has_clique_rows, iter_bits, near_cliques
@@ -151,7 +150,6 @@ class Batches(Sequence):
         return f"Batches({list(self)!r})"
 
 
-@dataclass
 class PercolationTrace:
     """Full record of one bootstrap run.
 
@@ -163,15 +161,21 @@ class PercolationTrace:
     means the final graph equals the host.
     """
 
-    steps: Batches = field(default_factory=Batches)
-    running_time: int = 0
-    percolated: bool = False
-    truncated: bool = False
-    final_edge_count: int = 0
+    __slots__ = ("steps", "running_time", "percolated", "truncated", "final_edge_count")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.steps, Batches):
-            self.steps = Batches(self.steps)
+    def __init__(
+        self, steps=(), running_time=0, percolated=False, truncated=False, final_edge_count=0
+    ):
+        self.steps: Batches = steps if isinstance(steps, Batches) else Batches(steps)
+        self.running_time: int = running_time
+        self.percolated: bool = percolated
+        self.truncated: bool = truncated
+        self.final_edge_count: int = final_edge_count
+
+    def __eq__(self, other):
+        if not isinstance(other, PercolationTrace):
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in self.__slots__)
 
     def to_json(self) -> str:
         """One JSON object: the scalars, then ``steps`` as a list of batches of

@@ -20,7 +20,6 @@ import operator
 import os
 import time
 from array import array
-from dataclasses import dataclass, field
 
 from . import constructions, engine, fileio, verify
 from .apsets import SOURCES, ApSet
@@ -49,17 +48,24 @@ CSV_FIELDS = [
 ]
 
 
-@dataclass
 class ExperimentConfig:
-    family: str
-    ns: list[int]
-    r: int
-    output: str
-    b_source: str = "digits3"
-    B: list[int] = field(default_factory=list)  # the 'B' lines; given, b_source is unread
-    input: str | None = None
-    max_steps: int | None = None
-    jobs: int = 1
+    """A parsed sweep config.  ``B`` holds the 'B' lines; when it is not
+    empty, ``b_source`` is not read."""
+
+    __slots__ = ("family", "ns", "r", "output", "b_source", "B", "input", "max_steps", "jobs")
+
+    def __init__(
+        self, family, ns, r, output, b_source="digits3", B=None, input=None, max_steps=None, jobs=1
+    ):
+        self.family: str = family
+        self.ns: list[int] = ns
+        self.r: int = r
+        self.output: str = output
+        self.b_source: str = b_source
+        self.B: list[int] = [] if B is None else B
+        self.input: str | None = input
+        self.max_steps: int | None = max_steps
+        self.jobs: int = jobs
 
 
 _KNOWN_KEYS = {

@@ -39,10 +39,9 @@ being returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import engine
 from .graphs import Graph
@@ -56,8 +55,7 @@ Rule = list[tuple[list[tuple[int, int]], list[tuple[int, tuple[int, ...]]]]]
 Block = tuple[list[int], int, Callable[[int], int]]  # columns, size, start_of
 
 
-@dataclass
-class MaxTimeResult:
+class MaxTimeResult(NamedTuple):
     """``kernel_scans`` is the sum of running time + 1 over the starts
     examined: one step per edge batch, plus the step that finds none.
     ``slowest_starts`` counts the starts examined that take ``max_time``

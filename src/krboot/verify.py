@@ -9,8 +9,7 @@ one (the final pair only in its own).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .graphs import UniformHypergraph, iter_bits, near_cliques, two_skeleton
 
@@ -19,13 +18,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .constructions import ConstructionOutput
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
+    """``failures`` lists a failing cond (i) check's candidates (all of them
+    in verbose mode); it is empty in every other report.  Each report is
+    given its own ``stats`` and ``failures``: a tuple's defaults would be
+    shared."""
+
     passed: bool
-    witness: tuple | None = None
-    witness_kind: str | None = None
-    stats: dict[str, int] = field(default_factory=dict)
-    failures: list[tuple] = field(default_factory=list)  # filled in verbose mode
+    witness: tuple | None
+    witness_kind: str | None
+    stats: dict[str, int]
+    failures: list[tuple]
 
 
 def check_induced_free(
@@ -73,7 +76,7 @@ def check_induced_free(
         candidates += c * (c - 1) // 2
     stats = {"pairs": n * (n - 1) // 2, "cliques": cliques, "candidates": candidates}
     if candidates == distinct * (r * (r - 1) // 2):
-        return VerificationReport(True, None, None, stats)
+        return VerificationReport(True, None, None, stats, [])
     edge_sets = set(h.edges)
     bad: list[tuple[int, int, tuple[int, ...]]] = []
     for clique, common in near_cliques(skel.adj, r - 2):
@@ -110,7 +113,7 @@ def check_pair_condition(
     if _pairs_pass(h, f_pairs):
         # pairs 0 .. m-2 lie in two edges each, the last in one
         stats = {"pairs": m, "containments": max(2 * m - 1, 0)}
-        return VerificationReport(True, None, None, stats)
+        return VerificationReport(True, None, None, stats, [])
     return _pair_walk(h, f_pairs)
 
 
@@ -156,8 +159,8 @@ def _pair_walk(h: UniformHypergraph, f_pairs: Sequence[tuple[int, int]]) -> Veri
         expected = {i} if i == m - 1 else {i, i + 1}
         if containing != expected:
             j = min(containing.symmetric_difference(expected))
-            return VerificationReport(False, (i, j), "pair-containment", stats)
-    return VerificationReport(True, None, None, stats)
+            return VerificationReport(False, (i, j), "pair-containment", stats, [])
+    return VerificationReport(True, None, None, stats, [])
 
 
 def check_ap_free(s: "ApSet") -> VerificationReport:
@@ -171,8 +174,8 @@ def check_ap_free(s: "ApSet") -> VerificationReport:
             if (a + c) % 2 == 0:
                 b = (a + c) // 2
                 if b in member:
-                    return VerificationReport(False, (a, b, c), "ap-triple", stats)
-    return VerificationReport(True, None, None, stats)
+                    return VerificationReport(False, (a, b, c), "ap-triple", stats, [])
+    return VerificationReport(True, None, None, stats, [])
 
 
 def check_residue_lemma(n: int) -> VerificationReport:
@@ -194,8 +197,8 @@ def check_residue_lemma(n: int) -> VerificationReport:
             for s2 in twos:
                 stats["combinations"] += 1
                 if not (d == s1 == s2):
-                    return VerificationReport(False, (d, s1, s2), "residue", stats)
-    return VerificationReport(True, None, None, stats)
+                    return VerificationReport(False, (d, s1, s2), "residue", stats, [])
+    return VerificationReport(True, None, None, stats, [])
 
 
 def verify_construction(c: "ConstructionOutput", r: int) -> VerificationReport:
@@ -212,4 +215,4 @@ def verify_construction(c: "ConstructionOutput", r: int) -> VerificationReport:
         return VerificationReport(
             False, failed.witness, failed.witness_kind, stats, failed.failures
         )
-    return VerificationReport(True, None, None, stats)
+    return VerificationReport(True, None, None, stats, [])

@@ -517,6 +517,11 @@ def test_other_json_layouts_read_as_the_canonical_one(tmp_path, monkeypatch, chu
         ("[2, 5]", "[2, 2147483648]", "batch 2 has a vertex past 2**31 - 1"),
         ("[0, 2], [1, 3]", "[1, 3], [0, 2]", "pair [0, 2] breaks its batch's ascending order"),
         ("[1, 4], [2, 4]", "[2, 4], [2, 4]", "pair [2, 4] breaks its batch's ascending order"),
+        (
+            "[0, 2], [1, 3]",
+            "[1000000, 1000003], [1000000, 1000002]",
+            "pair [1000000, 1000002] breaks its batch's ascending order",
+        ),
         ('"running_time": 4', '"running_time": 5', "running_time 5 but 4 batches"),
         ("[[2, 5]]", "[]", "empty batch"),
     ],
