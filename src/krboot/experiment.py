@@ -10,7 +10,6 @@ the point it was running and every point still pending there.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import functools
@@ -359,6 +358,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[dict[str, str]]:
         # one call per point that returns its row: a pool runs them all at
         # once, a serial sweep one at a time in the loop
         if cfg.jobs > 1:
+            import concurrent.futures  # imported here to keep it off ``import krboot.cli``
+
             pool = stack.enter_context(
                 concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs)
             )

@@ -103,35 +103,27 @@ def check_pair_condition(
     Witness on failure is (i, j): the lowest pair index i whose containment
     set is wrong, with j the first edge index in the symmetric difference.
 
-    A pass is decided by lookup (``_pairs_pass``), with no incidence sets.
-    Anything else goes to the incidence walk (``_pair_walk``), which gives
-    the witness, the stats and the ValueError for a degenerate pair.
+    Each pair {u, v} with 0 <= u < v < n is keyed as ``u * n + v`` to its
+    first index, each hyperedge's C(r, 2) pairs are looked up, and
+    ``seen[i]`` marks whether edge i (1), edge i + 1 (2) or another edge
+    (4) holds pair i: a passing pair reads 3, the last pair 1.  The pairs
+    left unkeyed read 0 and fail: a degenerate pair, one with a vertex
+    outside [0, n) (whose key could be another pair's), and a repeat, whose
+    containment set is its first occurrence's: at most one of the two
+    passes, and if the repeat is the one, the earlier first occurrence fails
+    before it.  So the first failure is the first mark other than 3, and
+    only that pair's containment set is read off the edges; a degenerate
+    pair there raises ValueError.
     """
-    m = len(h.edges)
+    n, m = h.n, len(h.edges)
     if len(f_pairs) != m:
         raise ValueError(f"{len(f_pairs)} pairs for {m} edges")
-    if _pairs_pass(h, f_pairs):
-        # pairs 0 .. m-2 lie in two edges each, the last in one
-        stats = {"pairs": m, "containments": max(2 * m - 1, 0)}
-        return VerificationReport(True, None, None, stats, [])
-    return _pair_walk(h, f_pairs)
-
-
-def _pairs_pass(h: UniformHypergraph, f_pairs: Sequence[tuple[int, int]]) -> bool:
-    """Does cond (ii) hold?  Each pair {u, v}, u < v, is keyed as ``u * n +
-    v`` to its index, and each hyperedge's C(r, 2) pairs are looked up.
-    ``seen[i]`` marks whether edge i (1), edge i + 1 (2) or another edge (4)
-    holds pair i.  A degenerate pair, or one with a vertex outside [0, n)
-    whose key could be another pair's, gives False at once.  A repeated
-    pair keeps only its last index, so its first is never marked."""
-    n, m = h.n, len(f_pairs)
     index: dict[int, int] = {}
     for i, (u, v) in enumerate(f_pairs):
         if u > v:
             u, v = v, u
-        if not 0 <= u < v < n:
-            return False
-        index[u * n + v] = i
+        if 0 <= u < v < n:
+            index.setdefault(u * n + v, i)
     seen = bytearray(m)
     get = index.get
     for j, e in enumerate(h.edges):
@@ -139,28 +131,20 @@ def _pairs_pass(h: UniformHypergraph, f_pairs: Sequence[tuple[int, int]]) -> boo
             i = get(a * n + b)
             if i is not None:
                 seen[i] |= 1 if i == j else 2 if i + 1 == j else 4
-    return not m or (seen.count(3) == m - 1 and seen[-1] == 1)
-
-
-def _pair_walk(h: UniformHypergraph, f_pairs: Sequence[tuple[int, int]]) -> VerificationReport:
-    """Cond (ii) by per-vertex incidence sets, pair by pair: the witness and
-    stats of a failure, or ValueError at the first degenerate pair."""
-    m = len(h.edges)
-    incidence: dict[int, set[int]] = {}
-    for j, e in enumerate(h.edges):
-        for v in e:
-            incidence.setdefault(v, set()).add(j)
-    stats = {"pairs": m, "containments": 0}
-    for i, (u, v) in enumerate(f_pairs):
-        if u == v:
-            raise ValueError(f"pair {i} is degenerate: ({u}, {v})")
-        containing = incidence.get(u, set()) & incidence.get(v, set())
-        stats["containments"] += len(containing)
-        expected = {i} if i == m - 1 else {i, i + 1}
-        if containing != expected:
-            j = min(containing.symmetric_difference(expected))
-            return VerificationReport(False, (i, j), "pair-containment", stats, [])
-    return VerificationReport(True, None, None, stats, [])
+    tail = seen.lstrip(b"\x03")
+    if tail in (b"", b"\x01"):
+        # pairs 0 .. m-2 lie in two edges each, the last in one
+        stats = {"pairs": m, "containments": max(2 * m - 1, 0)}
+        return VerificationReport(True, None, None, stats, [])
+    i = m - len(tail)
+    u, v = f_pairs[i]
+    if u == v:
+        raise ValueError(f"pair {i} is degenerate: ({u}, {v})")
+    containing = {j for j, e in enumerate(h.edges) if u in e and v in e}
+    expected = {i} if i == m - 1 else {i, i + 1}
+    stats = {"pairs": m, "containments": 2 * i + len(containing)}
+    witness = (i, min(containing ^ expected))
+    return VerificationReport(False, witness, "pair-containment", stats, [])
 
 
 def check_ap_free(s: "ApSet") -> VerificationReport:

@@ -32,6 +32,8 @@ def test_apset_validation():
         ApSet(5, (0, 2))
     with pytest.raises(ValueError):
         ApSet(5, (1, 6))
+    with pytest.raises(ValueError, match="ambient bound must be non-negative"):
+        ApSet(-1)
 
 
 def test_digits3_examples():

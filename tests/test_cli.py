@@ -305,9 +305,18 @@ def test_verify_pairs_cli(tmp_path, capsys):
     fileio.write_fpairs(c.f_pairs, fp)
     assert run_cli("verify", "pairs", "--hypergraph", str(hp), "--fpairs", str(fp)) == 0
     capsys.readouterr()
+    # pair 0 passes; pair 1 repeats it, so it lies in edges {0, 1}
     fileio.write_fpairs([c.f_pairs[0]] * 3, fp)
     assert run_cli("verify", "pairs", "--hypergraph", str(hp), "--fpairs", str(fp)) == 1
-    assert "WITNESS pair-containment" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "containments=4", "pairs=3", "FAIL", "WITNESS pair-containment 1 0"
+    ]
+    # the fpairs reader takes a vertex >= n; that pair lies in no edge
+    fileio.write_fpairs([(3, 4), (6, 99), (9, 10)], fp)
+    assert run_cli("verify", "pairs", "--hypergraph", str(hp), "--fpairs", str(fp)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "containments=2", "pairs=3", "FAIL", "WITNESS pair-containment 1 1"
+    ]
 
 
 def test_verify_apfree_cli(tmp_path, capsys):

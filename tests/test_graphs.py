@@ -110,6 +110,8 @@ def test_hypergraph_rejects_bad_edges():
         UniformHypergraph(5, 1, [])
     with pytest.raises(ValueError):
         UniformHypergraph(5, 3, [(0, 1, 2)], labels={7: ("X", 0)})
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        UniformHypergraph(-1, 3, [])
 
 
 def test_two_skeleton_single_edge_is_clique():

@@ -19,10 +19,12 @@ def python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # the package uses neither, and together they slow every fresh process's start
+    # the package uses neither, and together they slow every fresh process's
+    # start; only a parallel sweep loads concurrent.futures (with logging and
+    # traceback), so no other command pays for it
     code = (
         "import sys, krboot, krboot.fileio, krboot.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'concurrent.futures'} & set(sys.modules)))"
     )
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krboot import search
-from krboot.engine import run
+from krboot.engine import PercolationTrace, run
 from krboot.graphs import Graph, cone
 from krboot.search import (
     _edge_list,
@@ -386,6 +386,15 @@ def test_sampled_witness_replays():
     res = max_running_time_sampled(6, 4, samples=200, seed=7)
     trace = run(res.witness_start, 4, Graph.complete(6))
     assert trace.running_time == res.max_time
+
+
+def test_a_witness_the_engine_does_not_replay_is_refused(monkeypatch):
+    # the replay shares no code with the bit-sliced walk, so a disagreement
+    # is a bug in one of them and must not pass as a result
+    want = max_running_time(4, 3).max_time
+    monkeypatch.setattr(search.engine, "run", lambda *args: PercolationTrace(running_time=99))
+    with pytest.raises(AssertionError, match=f"engine replay got 99, search said {want}"):
+        max_running_time(4, 3)
 
 
 def test_sampled_requires_positive_samples():

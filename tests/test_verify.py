@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from unittest import mock
 
 import pytest
 
@@ -284,13 +283,30 @@ def walk_or_error(check, h, pairs):
     return rep.passed, rep.witness, rep.witness_kind, rep.stats
 
 
+def pair_condition_reference(h, f_pairs):
+    """Cond (ii) from its definition, pair by pair: the first pair whose
+    containment set is not {i, i+1} ({i} for the last) fails, and a
+    degenerate pair reached on the way raises."""
+    m = len(h.edges)
+    stats = {"pairs": m, "containments": 0}
+    for i, (u, v) in enumerate(f_pairs):
+        if u == v:
+            raise ValueError(f"pair {i} is degenerate: ({u}, {v})")
+        containing = {j for j, e in enumerate(h.edges) if u in e and v in e}
+        stats["containments"] += len(containing)
+        expected = {i} if i == m - 1 else {i, i + 1}
+        if containing != expected:
+            witness = (i, min(containing ^ expected))
+            return verify.VerificationReport(False, witness, "pair-containment", stats, [])
+    return verify.VerificationReport(True, None, None, stats, [])
+
+
 def test_pair_condition_lookup_matches_the_walk():
-    # the lookup decides a pass and hands anything else to the incidence
-    # walk, so every case must read as the walk reads it: swapped, repeated,
-    # degenerate and moved pairs, and out-of-range ones whose key u * n + v
-    # is a real pair's, one or two at a time.  ``extra`` passes but for pair
-    # 1, which also lies in edge 4; ``dup`` names an edge twice; in ``early``
-    # pair 1 lies in edges 0 and 1, not in 1 and 2.
+    # the lookup must read every case as the definition reads it: swapped,
+    # repeated, degenerate and moved pairs, out-of-range ones, and ones
+    # whose key u * n + v is a real pair's, one or two at a time.  ``extra``
+    # passes but for pair 1, which also lies in edge 4; ``dup`` names an
+    # edge twice; in ``early`` pair 1 lies in edges 0 and 1, not in 1 and 2.
     rng = random.Random(5)
     extra = UniformHypergraph(6, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (2, 3, 5)])
     dup = UniformHypergraph(8, 5, [(0, 1, 2, 3, 4), (3, 4, 5, 6, 7), (0, 1, 2, 3, 4)])
@@ -307,7 +323,7 @@ def test_pair_condition_lookup_matches_the_walk():
     )
     for h, f_pairs in cases:
         assert walk_or_error(check_pair_condition, h, f_pairs) == walk_or_error(
-            verify._pair_walk, h, f_pairs
+            pair_condition_reference, h, f_pairs
         )
         for _ in range(80 if f_pairs else 0):
             pairs = list(f_pairs)
@@ -318,17 +334,15 @@ def test_pair_condition_lookup_matches_the_walk():
                     (v, u),
                     pairs[rng.randrange(len(pairs))],
                     (u, u),
+                    (v, v),
+                    (u, -1),
+                    (h.n, v),
                     (u - 1, v + h.n),
                     (u + 1, v - h.n),
                     tuple(rng.sample(range(h.n), 2)),
                 ])
-            with mock.patch.object(verify, "_pair_walk", wraps=verify._pair_walk) as walk:
-                got = walk_or_error(check_pair_condition, h, pairs)
-            assert got == walk_or_error(verify._pair_walk, h, pairs)
-            if h in (extra, dup, early) or list(map(set, pairs)) != list(map(set, f_pairs)):
-                continue
-            # the pairs, some of them swapped: a pass, decided by the lookup
-            assert got[0] and walk.call_count == 0
+            got = walk_or_error(check_pair_condition, h, pairs)
+            assert got == walk_or_error(pair_condition_reference, h, pairs)
 
 
 def test_pair_condition_length_mismatch_rejected():
